@@ -7,6 +7,13 @@
 
 namespace rapid {
 
+namespace {
+
+// lower_bound comparator for a column-sorted row against a column id.
+bool column_less(const std::pair<NodeId, Time>& entry, NodeId col) { return entry.first < col; }
+
+}  // namespace
+
 MeetingMatrix::MeetingMatrix(NodeId owner, int num_nodes, int max_hops)
     : owner_(owner), num_nodes_(num_nodes), max_hops_(max_hops) {
   if (owner < 0 || owner >= num_nodes)
@@ -16,7 +23,6 @@ MeetingMatrix::MeetingMatrix(NodeId owner, int num_nodes, int max_hops)
   stamps_.assign(static_cast<std::size_t>(num_nodes), -kTimeInfinity);
   last_met_.assign(static_cast<std::size_t>(num_nodes), 0.0);
   meet_count_.assign(static_cast<std::size_t>(num_nodes), 0);
-  empty_row_.assign(static_cast<std::size_t>(num_nodes), kTimeInfinity);
   hop_rows_.resize(static_cast<std::size_t>(num_nodes));
 }
 
@@ -41,22 +47,14 @@ void MeetingMatrix::observe_meeting(NodeId peer, Time now) {
     fresh = clone.get();
     slot = std::move(clone);
   }
-  if (fresh->cells.empty())
-    fresh->cells.assign(static_cast<std::size_t>(num_nodes_), kTimeInfinity);
-  Time& cell = fresh->cells[static_cast<std::size_t>(peer)];
-  if (cell == kTimeInfinity) fresh->finite.emplace_back(peer, kTimeInfinity);
+  auto& finite = fresh->finite;
+  auto at = std::lower_bound(finite.begin(), finite.end(), peer, column_less);
+  if (at == finite.end() || at->first != peer) at = finite.insert(at, {peer, kTimeInfinity});
+  Time& cell = at->second;
   if (count == 0) {
     cell = gap;
   } else {
     cell += (gap - cell) / static_cast<double>(count + 1);
-  }
-  // Keep the packed mirror in sync. Recently re-observed peers sit near the
-  // tail of the append-ordered list, so scan from the back.
-  for (std::size_t i = fresh->finite.size(); i-- > 0;) {
-    if (fresh->finite[i].first == peer) {
-      fresh->finite[i].second = cell;
-      break;
-    }
   }
   fresh->stamp = now;
   ++count;
@@ -73,7 +71,6 @@ bool MeetingMatrix::merge_row(NodeId node, const std::vector<Time>& row, Time st
     throw std::invalid_argument("MeetingMatrix::merge_row: row size mismatch");
   if (stamp <= stamps_[static_cast<std::size_t>(node)]) return false;
   auto version = std::make_shared<RowVersion>();
-  version->cells = row;
   for (NodeId v = 0; v < num_nodes_; ++v) {
     const Time cell = row[static_cast<std::size_t>(v)];
     if (cell != kTimeInfinity) version->finite.emplace_back(v, cell);
@@ -96,23 +93,12 @@ bool MeetingMatrix::merge_row(NodeId node, const RowPtr& version) {
   return true;
 }
 
-const std::vector<Time>& MeetingMatrix::own_row() const {
-  const RowPtr& v = rows_[static_cast<std::size_t>(owner_)];
-  return v == nullptr ? empty_row_ : v->cells;
-}
-
-const std::vector<Time>& MeetingMatrix::row(NodeId node) const {
-  if (node < 0 || node >= num_nodes_)
-    throw std::invalid_argument("MeetingMatrix::row: bad node");
-  const RowPtr& v = rows_[static_cast<std::size_t>(node)];
-  return v == nullptr ? empty_row_ : v->cells;
-}
-
 Time MeetingMatrix::direct_mean(NodeId from, NodeId to) const {
   if (from == to) return 0;
   const RowPtr& v = rows_[static_cast<std::size_t>(from)];
   if (v == nullptr) return kTimeInfinity;
-  return v->cells[static_cast<std::size_t>(to)];
+  const auto at = std::lower_bound(v->finite.begin(), v->finite.end(), to, column_less);
+  return at == v->finite.end() || at->first != to ? kTimeInfinity : at->second;
 }
 
 namespace {
@@ -145,29 +131,9 @@ RelaxScratch& relax_scratch() {
 
 }  // namespace
 
-#ifdef RAPID_HOPSTAT
-#include <cstdio>
-namespace {
-struct HopStat {
-  unsigned long long calls = 0, recomputes = 0, edges = 0, frontier = 0, improved = 0;
-  ~HopStat() {
-    std::fprintf(stderr,
-                 "[hopstat] calls=%llu recomputes=%llu edges=%llu frontier=%llu improved=%llu\n",
-                 calls, recomputes, edges, frontier, improved);
-  }
-};
-HopStat g_hopstat;
-}  // namespace
-#define HOPSTAT(field, amount) (g_hopstat.field += (amount))
-#else
-#define HOPSTAT(field, amount) ((void)0)
-#endif
-
 const std::vector<Time>& MeetingMatrix::hop_row(NodeId from) const {
   HopRow& cached = hop_rows_[static_cast<std::size_t>(from)];
-  HOPSTAT(calls, 1);
   if (!cached.dist.empty() && cached.generation == generation_) return cached.dist;
-  HOPSTAT(recomputes, 1);
 
   // Single-source relaxation: after round r, dist[v] is the cheapest sum of
   // expected pairwise meeting times along a path of at most r+1 rows (never
@@ -183,17 +149,19 @@ const std::vector<Time>& MeetingMatrix::hop_row(NodeId from) const {
   // memory traffic changes (no per-round n-cell copy, no n-row scan).
   const auto n = static_cast<std::size_t>(num_nodes_);
   std::vector<Time>& dist = cached.dist;
-  dist = row(from);  // 1-hop paths
-  dist[static_cast<std::size_t>(from)] = 0;
+  dist.assign(n, kTimeInfinity);
 
   RelaxScratch& scratch = relax_scratch();
   scratch.ensure(n);
   scratch.frontier.clear();
   scratch.frontier.push_back(from);
   if (const RowPtr& own = rows_[static_cast<std::size_t>(from)]) {
-    for (const auto& [v, val] : own->finite)
+    for (const auto& [v, val] : own->finite) {  // 1-hop paths
+      dist[static_cast<std::size_t>(v)] = val;
       if (v != from) scratch.frontier.push_back(v);
+    }
   }
+  dist[static_cast<std::size_t>(from)] = 0;
 
   for (int round = 1; round < max_hops_ && !scratch.frontier.empty(); ++round) {
     ++scratch.epoch;
@@ -202,7 +170,6 @@ const std::vector<Time>& MeetingMatrix::hop_row(NodeId from) const {
       scratch.epoch = 1;
     }
     scratch.next_frontier.clear();
-    HOPSTAT(frontier, scratch.frontier.size());
     const NodeId* fr = scratch.frontier.data();
     const std::size_t fn = scratch.frontier.size();
     // RowVersions are scattered heap objects shared across the fleet, so a
@@ -223,9 +190,8 @@ const std::vector<Time>& MeetingMatrix::hop_row(NodeId from) const {
       if (head == kTimeInfinity) continue;
       const RowVersion* mid_version = rows_[static_cast<std::size_t>(mid)].get();
       if (mid_version == nullptr) continue;
-      HOPSTAT(edges, mid_version->finite.size());
       // Stream the packed (col, value) pairs — rows are sparse in large
-      // fleets, and the mirror avoids gathering scattered cells lines.
+      // fleets, so this touches k entries, not n.
       const auto* pairs = mid_version->finite.data();
       const std::size_t k = mid_version->finite.size();
       for (std::size_t i = 0; i < k; ++i) {
@@ -242,7 +208,6 @@ const std::vector<Time>& MeetingMatrix::hop_row(NodeId from) const {
         }
       }
     }
-    HOPSTAT(improved, scratch.next_frontier.size());
     for (const NodeId v : scratch.next_frontier)
       dist[static_cast<std::size_t>(v)] = scratch.best[static_cast<std::size_t>(v)];
     scratch.frontier.swap(scratch.next_frontier);
@@ -256,13 +221,6 @@ Time MeetingMatrix::expected_meeting_time(NodeId from, NodeId to) const {
     throw std::invalid_argument("MeetingMatrix::expected_meeting_time: bad node");
   if (from == to) return 0;
   return hop_row(from)[static_cast<std::size_t>(to)];
-}
-
-int MeetingMatrix::peers_met() const {
-  int met = 0;
-  for (int count : meet_count_)
-    if (count > 0) ++met;
-  return met;
 }
 
 void MeetingMatrix::save(BinWriter& out) const {
@@ -282,7 +240,14 @@ void MeetingMatrix::save(BinWriter& out) const {
     std::uint64_t id = 0;
     if (out.intern(v.get(), id)) {
       out.f64(v->stamp);
-      for (Time cell : v->cells) out.f64(cell);
+      // Dense on the wire (snapshot v2): gaps in the sparse row are infinity.
+      std::size_t c = 0;
+      for (const auto& [col, val] : v->finite) {
+        for (; c < static_cast<std::size_t>(col); ++c) out.f64(kTimeInfinity);
+        out.f64(val);
+        ++c;
+      }
+      for (; c < n; ++c) out.f64(kTimeInfinity);
     }
   }
 }
@@ -306,11 +271,9 @@ void MeetingMatrix::load(BinReader& in) {
     }
     auto version = std::make_shared<RowVersion>();
     version->stamp = in.f64();
-    version->cells.resize(n);
     for (std::size_t c = 0; c < n; ++c) {
-      version->cells[c] = in.f64();
-      if (version->cells[c] != kTimeInfinity)
-        version->finite.emplace_back(static_cast<NodeId>(c), version->cells[c]);
+      const Time cell = in.f64();
+      if (cell != kTimeInfinity) version->finite.emplace_back(static_cast<NodeId>(c), cell);
     }
     in.register_interned(id, version);
     rows_[u] = std::move(version);

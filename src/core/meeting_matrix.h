@@ -13,15 +13,17 @@
 // layer (core/utility.h) turns into a zero marginal via the delay cap.
 //
 // Storage and recomputation are incremental, sized for 500+ node fleets:
-// a row version is an immutable snapshot (cells + precomputed finite-column
-// list + stamp) shared between every node that learnt it, so gossiping a
-// row is one pointer assignment instead of an n-cell copy, the wire-size
-// accounting reads the finite count in O(1), and the h-hop relaxation walks
-// only finite columns. h-hop estimates are computed per *source* on demand
-// (O(h·n·k) single-source relaxation over k finite entries per row) and
-// memoized until the matrix changes; every mutation bumps a generation
-// counter that the utility cache (core/utility_cache.h) keys its delay
-// estimates on.
+// a row is one sorted sparse list of its finite (column, mean) entries, so
+// its size grows with the peers a node has met, not with the fleet. A row
+// version is an immutable snapshot (that list + stamp) shared between every
+// node that learnt it, so gossiping a row is one pointer assignment, the
+// wire-size accounting reads the entry count in O(1), a direct lookup is a
+// binary search, and the h-hop relaxation walks only finite entries. A
+// missing column reads as infinity (never met). h-hop estimates are
+// computed per *source* on demand (O(h·n·k) single-source relaxation over k
+// finite entries per row) and memoized until the matrix changes; every
+// mutation bumps a generation counter that the utility cache
+// (core/utility_cache.h) keys its delay estimates on.
 #pragma once
 
 #include <cstdint>
@@ -44,17 +46,14 @@ class BinWriter;
 // caches but never change what any query returns).
 class MeetingMatrix {
  public:
-  // An immutable learnt row: cells, a packed mirror of the finite entries,
-  // and the freshness stamp. Shared (never mutated) between every matrix
-  // that learnt this version. `finite` duplicates the finite cells as one
-  // contiguous (column, value) array (finite[i].second ==
-  // cells[finite[i].first] always): the h-hop relaxation streams it with a
-  // single pointer dereference per row instead of gathering ~30 scattered
-  // cache lines out of each 16 KB cells array — the difference between a
-  // latency-bound and a streaming inner loop at 2000 nodes.
+  // An immutable learnt row: the finite entries as one contiguous
+  // (column, mean) array sorted by column, and the freshness stamp. Shared
+  // (never mutated) between every matrix that learnt this version. Columns
+  // absent from `finite` are infinity. The h-hop relaxation streams the
+  // array with a single pointer dereference per row; direct_mean
+  // binary-searches it.
   struct RowVersion {
-    std::vector<Time> cells;
-    std::vector<std::pair<NodeId, Time>> finite;
+    std::vector<std::pair<NodeId, Time>> finite;  // sorted by column
     Time stamp = -kTimeInfinity;
   };
   using RowPtr = std::shared_ptr<const RowVersion>;
@@ -76,7 +75,7 @@ class MeetingMatrix {
   // stale rows are ignored. Returns true if the row was accepted.
   bool merge_row(NodeId node, const std::vector<Time>& row, Time stamp);
   // Zero-copy variant for same-process gossip: adopts the shared version
-  // (cells, finite columns and stamp travel as one pointer).
+  // (entries and stamp travel as one pointer).
   bool merge_row(NodeId node, const RowPtr& version);
   // The learnt version of `node`'s row, for zero-copy gossip; null when
   // nothing was learnt yet.
@@ -84,27 +83,25 @@ class MeetingMatrix {
     return rows_[static_cast<std::size_t>(node)];
   }
 
-  // The owner's own averaged row and its freshness stamp.
-  const std::vector<Time>& own_row() const;
+  // Freshness stamp of `node`'s row as most recently learnt.
   Time row_stamp(NodeId node) const { return stamps_[static_cast<std::size_t>(node)]; }
-  // A node's row as most recently learnt; all-infinity for unknown nodes.
-  const std::vector<Time>& row(NodeId node) const;
 
-  // Direct average only (infinity if never seen in any known row).
+  // Direct average only (infinity if never seen in any known row); a binary
+  // search of `from`'s sparse row.
   Time direct_mean(NodeId from, NodeId to) const;
 
   // E[M_{from,to}] within max_hops hops; infinity when unreachable.
   Time expected_meeting_time(NodeId from, NodeId to) const;
 
-  // Number of finite entries in the owner's own row (how many peers it met).
-  int peers_met() const;
-
-  // Number of finite entries in `node`'s row as most recently learnt; O(1)
-  // (precomputed per row version), feeding the metadata wire-size accounting.
+  // Number of finite entries in `node`'s row as most recently learnt; O(1),
+  // feeding the metadata wire-size accounting.
   int finite_count(NodeId node) const {
     const RowPtr& v = rows_[static_cast<std::size_t>(node)];
     return v == nullptr ? 0 : static_cast<int>(v->finite.size());
   }
+  // Number of peers the owner has met: an own-row entry is finite exactly
+  // when its meeting count is > 0.
+  int peers_met() const { return finite_count(owner_); }
 
   // Bumped on every accepted mutation (observe_meeting, accepted merge_row);
   // the utility cache keys meeting-time-dependent estimates on this.
@@ -113,9 +110,10 @@ class MeetingMatrix {
   // Snapshot/restore. Shared RowVersions are serialized once through the
   // writer's interning table and re-shared on load, so the gossip sharing
   // graph (and therefore the clone-vs-edit-in-place decisions of
-  // observe_meeting) replays exactly; finite-column lists are rebuilt from
-  // the cells (their order is not behavioral) and the h-hop memo restores
-  // cold — it refills from identical inputs.
+  // observe_meeting) replays exactly. Rows are written dense, n values with
+  // infinity in the gaps (snapshot format v2), and read back into the same
+  // column-sorted lists; the h-hop memo restores cold — it refills from
+  // identical inputs.
   void save(BinWriter& out) const;
   void load(BinReader& in);
 
@@ -129,7 +127,6 @@ class MeetingMatrix {
   std::vector<Time> stamps_;
   std::vector<Time> last_met_;   // owner's last direct meeting time per peer
   std::vector<int> meet_count_;  // owner's direct meeting counts
-  std::vector<Time> empty_row_;  // shared all-infinity row for unknown nodes
   std::uint64_t generation_ = 0;
 
   // Memoized single-source h-hop distances, recomputed lazily per source

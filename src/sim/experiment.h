@@ -166,8 +166,8 @@ struct RunSpec {
   int sim_threads = 1;
   // Batched contact dispatch (SimConfig::dispatch_batch): > 0 drains every
   // event within that span of simulated seconds into one flat span per
-  // Simulation::step(), announced to routers via on_contact_batch() before
-  // the contacts run. Bit-identical to per-event dispatch for any span.
+  // Simulation::step(), then dispatches it in serial order. Bit-identical
+  // to per-event dispatch for any span.
   // CLI: `rapid_bench ... --dispatch-batch SECONDS`.
   Time dispatch_batch = 0;
 };

@@ -406,40 +406,8 @@ bool Simulation::step_batch(Time limit) {
     if (span <= 0) break;
   }
   if (batch_.empty()) return false;
-  if (span > 0 && batch_.size() > 1) {
-    batch_meetings_.clear();
-    for (const Pumped& pe : batch_)
-      if (pe.event.kind == SimEvent::Kind::kMeeting)
-        batch_meetings_.push_back(pe.event.meeting);
-    notify_contact_batch();
-  }
   for (const Pumped& pe : batch_) dispatch(pe.event, pe.source);
   return true;
-}
-
-void Simulation::notify_contact_batch() {
-  if (batch_meetings_.empty()) return;
-  ContactBatch view;
-  view.meetings = batch_meetings_.data();
-  view.count = batch_meetings_.size();
-  view.start = batch_meetings_.front().time;
-  view.end = batch_meetings_.back().time;
-  if (batch_seen_.size() != static_cast<std::size_t>(num_nodes_))
-    batch_seen_.assign(static_cast<std::size_t>(num_nodes_), 0);
-  if (++batch_epoch_ == 0) {
-    std::fill(batch_seen_.begin(), batch_seen_.end(), 0);
-    batch_epoch_ = 1;
-  }
-  // First-appearance order: deterministic, and a router hears about the
-  // span before any of its contacts in it run.
-  for (const Meeting& m : batch_meetings_) {
-    for (const NodeId n : {m.a, m.b}) {
-      auto& stamp = batch_seen_[static_cast<std::size_t>(n)];
-      if (stamp == batch_epoch_) continue;
-      stamp = batch_epoch_;
-      routers_[static_cast<std::size_t>(n)]->on_contact_batch(view);
-    }
-  }
 }
 
 bool Simulation::step() {
@@ -519,8 +487,8 @@ void Simulation::run_until_sharded(Time t) {
         const std::optional<Next> next = peek_next();
         if (!next.has_value() || next->event->time > t) break;
         // Windows ride the dispatch-batch spans: a span boundary cuts the
-        // window early, so batched and sharded runs see the same flat
-        // contact spans. Any window boundary is bit-identity-safe (the
+        // window early, so batched and sharded runs cut at the same
+        // boundaries. Any window boundary is bit-identity-safe (the
         // executor is order-correct for every windowing).
         if (span > 0 && !batch.empty() && next->event->time > window_end) break;
         ShardRuntime::WindowEvent we;
@@ -543,15 +511,6 @@ void Simulation::run_until_sharded(Time t) {
       }
     }
     if (batch.empty()) break;
-    if (span > 0 && batch.size() > 1) {
-      // Same pre-window span notification as the serial batch loop, issued
-      // on the coordinator before any worker touches a router.
-      batch_meetings_.clear();
-      for (const ShardRuntime::WindowEvent& we : batch)
-        if (we.event.kind == SimEvent::Kind::kMeeting)
-          batch_meetings_.push_back(we.event.meeting);
-      notify_contact_batch();
-    }
     execute_window();
     now_ = batch.back().event.time;
   }

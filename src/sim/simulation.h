@@ -84,9 +84,8 @@ struct SimConfig {
   EventCore event_core = EventCore::kWheel;
   // Batched contact dispatch: when > 0, step() drains every event within
   // this many sim-seconds of the batch's first event into a flat span, then
-  // dispatches them in pump order — routers see the span up front through
-  // Router::on_contact_batch before any contact in it runs. 0 (default)
-  // dispatches per event, the classic loop. Results are bit-identical for
+  // dispatches them in pump order. 0 (default) dispatches per event, the
+  // classic loop. Results are bit-identical for
   // any span: pump order is dispatch order, and pump-ahead admission reads
   // only the fault mask, exactly like the sharded window pump. Runs with
   // per-event observers (taps, trace ring) fall back to span 0 so those
@@ -259,9 +258,6 @@ class Simulation {
   // first, times <= limit) and dispatches it in pump order; false when no
   // event was runnable. Span 0 = the classic one-event loop.
   bool step_batch(Time limit);
-  // Router::on_contact_batch for every node appearing in batch_meetings_,
-  // in first-appearance order.
-  void notify_contact_batch();
 
   // Pump-time half of fault handling, shared by the serial and sharded
   // loops: updates the up/down mask on kFault events and decides whether an
@@ -323,13 +319,9 @@ class Simulation {
   std::unique_ptr<EventWheel> wheel_;
   bool wheel_synced_ = false;
 
-  // Batched-dispatch staging (reused across batches, so the steady state
-  // allocates nothing): pumped events, the flat meeting span handed to
-  // on_contact_batch, and an epoch-stamped per-node dedup mark.
+  // Batched-dispatch staging: the pumped events of the current batch,
+  // reused across batches so the steady state allocates nothing.
   std::vector<Pumped> batch_;
-  std::vector<Meeting> batch_meetings_;
-  std::vector<std::uint32_t> batch_seen_;
-  std::uint32_t batch_epoch_ = 0;
 
   // Lazily built on the first sharded run()/run_until(); null on serial
   // runs. Owns the shard plan, the window executor and the per-slot

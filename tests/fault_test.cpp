@@ -32,6 +32,7 @@
 #include "service/supervise.h"
 #include "sim/engine.h"
 #include "sim/protocols.h"
+#include "support/temp_path.h"
 #include "util/rng.h"
 
 namespace rapid {
@@ -311,7 +312,7 @@ void write_bytes(const std::string& path, const std::string& bytes) {
 }
 
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "/" + name;
+  const std::string dir = unique_temp_path(name);
   ::mkdir(dir.c_str(), 0755);
   // Clear leftovers from a previous run of the same test binary.
   for (const std::string& stale : list_snapshots_newest_first(dir))
@@ -327,12 +328,12 @@ TEST(SnapshotFuzz, EveryByteFlipAndTruncationIsRejectedCleanly) {
   ServiceEngine engine(tiny_config(), tiny_workload());
   for (const ContactEvent& c : tiny_contacts()) engine.ingest(c);
   engine.advance_to(250);
-  const std::string path = testing::TempDir() + "/fault_fuzz.bin";
+  const std::string path = unique_temp_path("fault_fuzz.bin");
   engine.snapshot(path);
   const std::string valid = file_bytes(path);
   ASSERT_GT(valid.size(), 64u);
 
-  const std::string mutated = testing::TempDir() + "/fault_fuzz_mut.bin";
+  const std::string mutated = unique_temp_path("fault_fuzz_mut.bin");
   // Byte flips across the whole file — header, body, CRC footer — at a
   // stride that is coprime with typical field sizes.
   int flips = 0;
@@ -434,8 +435,8 @@ TEST(Supervise, EmptyOrFullyCorruptDirectoryFallsBackToFresh) {
 constexpr const char* kTailHeader = "rapid-trace v1\nfleet 4\nday 3600 active 0 1 2 3\n";
 
 TEST(TailRetry, TransientOpenFailuresAreToleratedUpToTheBudget) {
-  const std::string path = testing::TempDir() + "/fault_tail_retry.txt";
-  const std::string hidden = testing::TempDir() + "/fault_tail_retry.hidden";
+  const std::string path = unique_temp_path("fault_tail_retry.txt");
+  const std::string hidden = unique_temp_path("fault_tail_retry.hidden");
   write_bytes(path, std::string(kTailHeader) + "meet 0 1 10 1000\n");
 
   TraceTailCursor cursor(path);
@@ -473,7 +474,7 @@ TEST(TailRetry, TransientOpenFailuresAreToleratedUpToTheBudget) {
 TEST(TailRetry, NeverOpenedFileFailsImmediately) {
   // The retry budget is for files that existed and blinked — a path that was
   // wrong from the start is a configuration error and must not be retried.
-  TraceTailCursor cursor(testing::TempDir() + "/fault_tail_never_existed.txt");
+  TraceTailCursor cursor(unique_temp_path("fault_tail_never_existed.txt"));
   std::vector<Meeting> out;
   EXPECT_THROW(cursor.poll(out), std::runtime_error);
 }
@@ -487,7 +488,7 @@ TEST(ServiceIngestErrors, RejectedIngestLeavesTheEngineByteIdentical) {
   engine.ingest({1, 2, 120, 32768});
   engine.advance_to(200);
 
-  const std::string before = testing::TempDir() + "/fault_ingest_before.bin";
+  const std::string before = unique_temp_path("fault_ingest_before.bin");
   engine.snapshot(before);
   const SimResult report_before = engine.report();
 
@@ -510,7 +511,7 @@ TEST(ServiceIngestErrors, RejectedIngestLeavesTheEngineByteIdentical) {
   EXPECT_GE(engine.query_status(0).replicas, 1);
   EXPECT_DOUBLE_EQ(engine.advanced_to(), 200);
   expect_identical(report_before, engine.report());
-  const std::string after = testing::TempDir() + "/fault_ingest_after.bin";
+  const std::string after = unique_temp_path("fault_ingest_after.bin");
   engine.snapshot(after);
   EXPECT_EQ(file_bytes(before), file_bytes(after));
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "core/meeting_matrix.h"
+#include "util/binio.h"
 
 namespace rapid {
 namespace {
@@ -13,6 +16,60 @@ TEST(MeetingMatrix, AveragesInterMeetingGaps) {
   m.observe_meeting(1, 60);
   EXPECT_DOUBLE_EQ(m.direct_mean(0, 1), 20.0);
   EXPECT_EQ(m.peers_met(), 1);
+
+  // The sparse row keeps its entries sorted by column whatever order peers
+  // are first met in, so inserts land at the front, the middle and the back.
+  // Every lookup must agree with a plain dense running-mean table.
+  constexpr int kNodes = 9;
+  const std::vector<std::vector<NodeId>> orders = {
+      {8, 7, 6, 5, 4, 3, 2, 1},     // descending: every insert at the front
+      {4, 1, 8, 2, 7, 3, 6, 5, 4},  // interleaved: front, back and middle
+      {1, 2, 3, 8, 5, 5, 1, 6},     // ascending with repeats and a gap
+  };
+  for (const std::vector<NodeId>& order : orders) {
+    MeetingMatrix sparse(0, kNodes);
+    std::vector<Time> ref(kNodes, kTimeInfinity);
+    std::vector<Time> last(kNodes, 0.0);
+    std::vector<int> count(kNodes, 0);
+    Time now = 0;
+    // Two passes, so every peer also takes an in-place running-mean update.
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const NodeId peer : order) {
+        now += 3.0 + peer;
+        sparse.observe_meeting(peer, now);
+        const auto p = static_cast<std::size_t>(peer);
+        const Time gap = now - last[p];
+        ref[p] = count[p] == 0 ? gap : ref[p] + (gap - ref[p]) / (count[p] + 1);
+        ++count[p];
+        last[p] = now;
+      }
+    }
+    // A gossiped row for node 3, dense on input.
+    std::vector<Time> row3(kNodes, kTimeInfinity);
+    row3[0] = 40.0;
+    row3[8] = 7.5;
+    row3[5] = 11.0;
+    ASSERT_TRUE(sparse.merge_row(3, row3, now));
+
+    int met = 0;
+    for (NodeId v = 0; v < kNodes; ++v) {
+      if (count[static_cast<std::size_t>(v)] > 0) ++met;
+      if (v == 0) continue;
+      EXPECT_EQ(sparse.direct_mean(0, v), ref[static_cast<std::size_t>(v)]) << "peer " << v;
+    }
+    EXPECT_EQ(sparse.peers_met(), met);
+    EXPECT_EQ(sparse.finite_count(0), met);
+    for (NodeId u = 1; u < kNodes; ++u) {
+      for (NodeId v = 0; v < kNodes; ++v) {
+        if (u == v) continue;
+        const Time want = u == 3 ? row3[static_cast<std::size_t>(v)] : kTimeInfinity;
+        EXPECT_EQ(sparse.direct_mean(u, v), want) << u << "->" << v;
+      }
+    }
+    // The shared version stores exactly the finite entries, column-sorted.
+    const auto& own = sparse.share_row(0)->finite;
+    for (std::size_t i = 1; i < own.size(); ++i) EXPECT_LT(own[i - 1].first, own[i].first);
+  }
 }
 
 TEST(MeetingMatrix, UnseenPairsAreInfinite) {
@@ -124,17 +181,99 @@ TEST(MeetingMatrix, GenerationBumpsOnAcceptedMutationsOnly) {
 
 TEST(MeetingMatrix, LazyRowsReadAsInfinityUntilLearnt) {
   MeetingMatrix m(0, 4);
-  // Nothing learnt about node 2: its row reads as all-infinity.
-  const std::vector<Time>& unknown = m.row(2);
-  ASSERT_EQ(unknown.size(), 4u);
-  for (Time t : unknown) EXPECT_EQ(t, kTimeInfinity);
-  EXPECT_EQ(m.direct_mean(2, 3), kTimeInfinity);
+  // Nothing learnt about node 2: every entry of its row reads as infinity
+  // (the diagonal is 0 by definition).
+  EXPECT_EQ(m.share_row(2), nullptr);
+  EXPECT_EQ(m.finite_count(2), 0);
+  for (NodeId v = 0; v < 4; ++v)
+    if (v != 2) EXPECT_EQ(m.direct_mean(2, v), kTimeInfinity) << v;
   EXPECT_EQ(m.expected_meeting_time(2, 3), kTimeInfinity);
   std::vector<Time> row(4, kTimeInfinity);
   row[3] = 12.0;
   ASSERT_TRUE(m.merge_row(2, row, 5.0));
-  EXPECT_DOUBLE_EQ(m.row(2)[3], 12.0);
+  EXPECT_EQ(m.finite_count(2), 1);
+  EXPECT_DOUBLE_EQ(m.direct_mean(2, 3), 12.0);
+  EXPECT_EQ(m.direct_mean(2, 1), kTimeInfinity);
   EXPECT_DOUBLE_EQ(m.expected_meeting_time(2, 3), 12.0);
+}
+
+// A gossiped version is immutable: once another matrix adopted it, the
+// owner's next observation must clone rather than edit in place.
+TEST(MeetingMatrix, ObservingAfterShareClonesTheAdoptedVersion) {
+  MeetingMatrix a(0, 4);
+  MeetingMatrix b(1, 4);
+  a.observe_meeting(2, 10);
+  a.observe_meeting(3, 25);
+  ASSERT_TRUE(b.merge_row(0, a.share_row(0)));
+  const MeetingMatrix::RowPtr adopted = b.share_row(0);
+
+  a.observe_meeting(2, 40);  // existing column: would be an in-place edit
+  a.observe_meeting(1, 50);  // new column: would be an in-place insert
+  EXPECT_NE(a.share_row(0), adopted);
+  EXPECT_EQ(b.share_row(0), adopted);
+  EXPECT_DOUBLE_EQ(b.row_stamp(0), 25.0);
+  EXPECT_DOUBLE_EQ(b.direct_mean(0, 2), 10.0);
+  EXPECT_DOUBLE_EQ(b.direct_mean(0, 3), 25.0);
+  EXPECT_EQ(b.direct_mean(0, 1), kTimeInfinity);
+  EXPECT_EQ(b.finite_count(0), 2);
+  // The owner sees its own updates.
+  EXPECT_DOUBLE_EQ(a.direct_mean(0, 2), 20.0);  // gaps 10, 30
+  EXPECT_DOUBLE_EQ(a.direct_mean(0, 1), 50.0);
+}
+
+// Snapshot rows are dense on the wire and sparse in memory; a round trip
+// through load must reproduce the bytes, the version sharing across
+// matrices and the rows never learnt.
+TEST(MeetingMatrix, SaveLoadSaveIsByteIdentical) {
+  constexpr int kNodes = 6;
+  MeetingMatrix a(0, kNodes);
+  MeetingMatrix b(1, kNodes);
+  a.observe_meeting(4, 10);
+  a.observe_meeting(2, 15);
+  b.observe_meeting(5, 12);
+  ASSERT_TRUE(b.merge_row(0, a.share_row(0)));  // shared across matrices
+  ASSERT_TRUE(a.merge_row(1, b.share_row(1)));
+  std::vector<Time> row3(kNodes, kTimeInfinity);
+  row3[5] = 9.0;
+  row3[0] = 33.0;
+  ASSERT_TRUE(b.merge_row(3, row3, 20.0));
+  // Rows 3 (in a) and 2, 4 (in both) are never learnt.
+  ASSERT_EQ(a.share_row(3), nullptr);
+
+  const auto save_both = [](const MeetingMatrix& x, const MeetingMatrix& y) {
+    std::ostringstream bytes;
+    BinWriter writer(bytes);
+    x.save(writer);
+    y.save(writer);
+    return bytes.str();
+  };
+  const std::string first = save_both(a, b);
+
+  MeetingMatrix a2(0, kNodes);
+  MeetingMatrix b2(1, kNodes);
+  std::istringstream in(first);
+  BinReader reader(in);
+  a2.load(reader);
+  b2.load(reader);
+  EXPECT_EQ(save_both(a2, b2), first);
+
+  EXPECT_EQ(a2.share_row(0), b2.share_row(0));
+  EXPECT_EQ(a2.share_row(1), b2.share_row(1));
+  EXPECT_EQ(a2.share_row(3), nullptr);
+  EXPECT_EQ(a2.generation(), a.generation());
+  for (NodeId u = 0; u < kNodes; ++u) {
+    EXPECT_EQ(a2.finite_count(u), a.finite_count(u)) << u;
+    EXPECT_EQ(b2.finite_count(u), b.finite_count(u)) << u;
+    for (NodeId v = 0; v < kNodes; ++v) {
+      EXPECT_EQ(a2.direct_mean(u, v), a.direct_mean(u, v)) << u << "->" << v;
+      EXPECT_EQ(b2.direct_mean(u, v), b.direct_mean(u, v)) << u << "->" << v;
+      EXPECT_EQ(b2.expected_meeting_time(u, v), b.expected_meeting_time(u, v));
+    }
+  }
+  // Sharing replays, so the restored owner still clones before editing.
+  a2.observe_meeting(4, 30);
+  EXPECT_DOUBLE_EQ(b2.direct_mean(0, 4), 10.0);
+  EXPECT_DOUBLE_EQ(a2.direct_mean(0, 4), 15.0);  // gaps 10, 20
 }
 
 TEST(MeetingMatrix, InvalidArgumentsThrow) {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "service/service_engine.h"
+#include "support/temp_path.h"
 
 namespace rapid {
 namespace {
@@ -133,8 +134,8 @@ TEST(ServiceEngine, QueriesAndInterimReportsDoNotPerturbTheRun) {
   // Interim reads never double-count into the final report, and the queried
   // run's final state is byte-identical to the untouched one's.
   expect_same_result(a.report(), b.report());
-  const std::string path_a = testing::TempDir() + "/service_pure_a.bin";
-  const std::string path_b = testing::TempDir() + "/service_pure_b.bin";
+  const std::string path_a = unique_temp_path("service_pure_a.bin");
+  const std::string path_b = unique_temp_path("service_pure_b.bin");
   a.snapshot(path_a);
   b.snapshot(path_b);
   EXPECT_EQ(file_bytes(path_a), file_bytes(path_b));
@@ -145,8 +146,8 @@ TEST(ServiceEngine, SnapshotRestoreSnapshotReproducesTheBytes) {
   for (const ContactEvent& c : tiny_contacts()) engine.ingest(c);
   engine.advance_to(250);  // mid-run: live buffers, pending ingest queue
 
-  const std::string first = testing::TempDir() + "/service_rt_1.bin";
-  const std::string second = testing::TempDir() + "/service_rt_2.bin";
+  const std::string first = unique_temp_path("service_rt_1.bin");
+  const std::string second = unique_temp_path("service_rt_2.bin");
   engine.snapshot(first);
   const auto restored = ServiceEngine::restore(first, tiny_config(), tiny_workload());
   EXPECT_DOUBLE_EQ(restored->advanced_to(), 250);
@@ -158,7 +159,7 @@ TEST(ServiceEngine, RestoreRefusesAMismatchedConfig) {
   ServiceEngine engine(tiny_config(), tiny_workload());
   engine.ingest({0, 1, 60, 32768});
   engine.advance_to(100);
-  const std::string path = testing::TempDir() + "/service_fp.bin";
+  const std::string path = unique_temp_path("service_fp.bin");
   engine.snapshot(path);
 
   EXPECT_THROW(ServiceEngine::restore(path, tiny_config(ProtocolKind::kEpidemic),
@@ -187,7 +188,7 @@ TEST(ServiceEngine, DelayQueriesNeedARapidProtocol) {
 }
 
 TEST(ServiceEngine, TailedFileFeedsTheEngine) {
-  const std::string trace = testing::TempDir() + "/service_tail_trace.txt";
+  const std::string trace = unique_temp_path("service_tail_trace.txt");
   {
     std::ofstream f(trace, std::ios::trunc | std::ios::binary);
     f << "rapid-trace v1\nfleet 4\nday 600 active 0 1 2 3\n";
@@ -215,7 +216,7 @@ TEST(ServiceEngine, GoldenSnapshotBytesAreStable) {
   ServiceEngine engine(tiny_config(), tiny_workload());
   for (const ContactEvent& c : tiny_contacts()) engine.ingest(c);
   engine.advance_to(250);
-  const std::string path = testing::TempDir() + "/service_golden.bin";
+  const std::string path = unique_temp_path("service_golden.bin");
   engine.snapshot(path);
   const std::string bytes = file_bytes(path);
 

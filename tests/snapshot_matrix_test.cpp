@@ -21,6 +21,7 @@
 #include "dtn/workload.h"
 #include "runner/thread_pool.h"
 #include "service/service_engine.h"
+#include "support/temp_path.h"
 #include "util/rng.h"
 
 namespace rapid {
@@ -104,21 +105,21 @@ RunOutput straight_run(ProtocolKind protocol, const std::string& tag, bool fault
   ServiceEngine engine(matrix_config(protocol, faulted), matrix_workload());
   for (const ContactEvent& c : matrix_contacts()) engine.ingest(c);
   engine.advance_to(kMidpoint);
-  const std::string mid = testing::TempDir() + "/matrix_mid_" + tag + ".bin";
+  const std::string mid = unique_temp_path("matrix_mid_" + tag + ".bin");
   engine.snapshot(mid);
   engine.advance_to(kHorizon);
-  const std::string fin = testing::TempDir() + "/matrix_fin_" + tag + ".bin";
+  const std::string fin = unique_temp_path("matrix_fin_" + tag + ".bin");
   engine.snapshot(fin);
   return {engine.report(), file_bytes(fin)};
 }
 
 RunOutput restored_run(ProtocolKind protocol, const std::string& tag, bool faulted = false) {
-  const std::string mid = testing::TempDir() + "/matrix_mid_" + tag + ".bin";
+  const std::string mid = unique_temp_path("matrix_mid_" + tag + ".bin");
   const auto engine =
       ServiceEngine::restore(mid, matrix_config(protocol, faulted), matrix_workload());
   EXPECT_DOUBLE_EQ(engine->advanced_to(), kMidpoint);
   engine->advance_to(kHorizon);
-  const std::string fin = testing::TempDir() + "/matrix_fin_restored_" + tag + ".bin";
+  const std::string fin = unique_temp_path("matrix_fin_restored_" + tag + ".bin");
   engine->snapshot(fin);
   return {engine->report(), file_bytes(fin)};
 }

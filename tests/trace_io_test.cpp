@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "mobility/trace_io.h"
+#include "support/temp_path.h"
 #include "util/rng.h"
 
 namespace rapid {
@@ -155,7 +156,7 @@ TEST(TraceIo, LoadedDaysReplayThroughTheStreamingInterface) {
 
 TEST(TraceIo, FileRoundTrip) {
   const DieselNetTrace original = small_trace();
-  const std::string path = testing::TempDir() + "/rapid_trace_test.txt";
+  const std::string path = unique_temp_path("rapid_trace_test.txt");
   ASSERT_TRUE(write_trace_file(path, original));
   const DieselNetTrace loaded = read_trace_file(path);
   EXPECT_EQ(loaded.days.size(), original.days.size());

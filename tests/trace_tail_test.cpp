@@ -6,11 +6,13 @@
 // parse progress.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <vector>
 
 #include "mobility/trace_io.h"
+#include "support/temp_path.h"
 #include "util/binio.h"
 
 namespace rapid {
@@ -19,9 +21,10 @@ namespace {
 class TraceTailTest : public testing::Test {
  protected:
   void SetUp() override {
-    path_ = testing::TempDir() + "/rapid_tail_test.txt";
+    path_ = unique_temp_path("rapid_tail_test.txt");
     std::ofstream truncate(path_, std::ios::trunc);
   }
+  void TearDown() override { std::remove(path_.c_str()); }
 
   // Appends exactly `text` (no newline added) like an external writer would.
   void append(const std::string& text) {
