@@ -1,20 +1,27 @@
 #!/usr/bin/env python3
-"""Compare a bench_pr4 JSON record against the committed baseline.
+"""Compare a `bench_record prN` JSON record against its committed baseline.
 
 Usage:
     tools/bench_compare.py CURRENT.json [BASELINE.json] [--tolerance 0.10]
 
 Exits non-zero when any tracked metric regressed by more than the tolerance
-(default 10%), or when the determinism guard (`delivered`) diverges. Lower is
-better for every tracked metric:
+(default 10%), when an exact-match determinism guard diverges, or when the
+candidate record lacks any key the baseline has (report-only keys included,
+so a probe that silently stops emitting a key fails). Every record is gated
+on the standard keys below; a baseline adds probe-specific ones through its
+"tracked_extra" and "exact_extra" lists. Lower is better for every tracked
+metric:
 
-    wall_clock_ms   end-to-end powerlaw-large simulation time
+    wall_clock_ms   best-of-N wall time of the probe's headline run
     peak_rss_kb     getrusage peak resident set
-    allocations     operator-new count during the measured run (exact)
+    allocations     operator-new count during the measured run
+    packets, meetings, delivered
+                    exact determinism trio
 
-Improvements are reported but never fail the job; update BENCH_pr4.json when
-a PR moves the trajectory so the next regression is caught from the new
-level.
+Improvements are reported but never fail the job; update the committed
+BENCH_prN.json when a change moves the trajectory, so the next regression is
+caught from the new level. BASELINE.json defaults to the repo's
+BENCH_pr4.json.
 """
 
 import argparse
@@ -34,7 +41,7 @@ def load(path):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("current", help="bench_pr4 output JSON to check")
+    parser.add_argument("current", help="bench_record output JSON to check")
     parser.add_argument("baseline", nargs="?", default=DEFAULT_BASELINE,
                         help="committed baseline (default: repo BENCH_pr4.json)")
     parser.add_argument("--tolerance", type=float, default=0.10,
@@ -50,7 +57,7 @@ def main():
 
     # A baseline may declare PR-specific metrics on top of the standard trio:
     # "tracked_extra" lists extra lower-is-better metrics, "exact_extra" lists
-    # extra exact-match determinism guards (e.g. bench_pr7's snapshot_bytes).
+    # extra exact-match determinism guards (e.g. pr7's snapshot_bytes).
     tracked = list(TRACKED) + [k for k in baseline.get("tracked_extra", ())
                                if k not in TRACKED]
     exact = list(EXACT) + [k for k in baseline.get("exact_extra", ())
@@ -103,6 +110,13 @@ def main():
         print(f"{key}: current={cur:.1f} baseline={base:.1f} delta={delta:+.1%} [{marker}]")
         if delta > tolerance:
             failures.append(f"{key} regressed {delta:+.1%} (> {tolerance:.0%})")
+
+    # Report-only keys (a phase table, speedups, notes) carry no tolerance,
+    # but a candidate that stopped emitting one is not the same record.
+    for key in baseline:
+        if key not in current and key not in exact and key not in tracked:
+            failures.append(f"{key}: missing from the candidate record "
+                            f"{args.current} (baseline has {baseline[key]!r})")
 
     if failures:
         print(f"\nbench_compare: FAIL ({len(failures)} check(s))", file=sys.stderr)
