@@ -4,13 +4,10 @@
 // simulation. Also covers the meetings_needed literal-vs-corrected ablation
 // called out in DESIGN.md, the replica_rate eager-vs-cached regression pair,
 // and the powerlaw-large utility-cache comparison (the `recomputes` counter
-// of the cached run must be >= 3x smaller than the eager run's), plus the
-// heap-vs-wheel event-dispatch pair backing the timer-wheel event core.
+// of the cached run must be >= 3x smaller than the eager run's).
 #include <benchmark/benchmark.h>
 
 #include <memory>
-#include <queue>
-#include <random>
 #include <vector>
 
 #include "../tests/support/legacy_map_shim.h"
@@ -27,7 +24,6 @@
 #include "opt/simplex.h"
 #include "runner/scenario_registry.h"
 #include "sim/engine.h"
-#include "sim/event_wheel.h"
 #include "sim/experiment.h"
 #include "sim/protocols.h"
 #include "util/rng.h"
@@ -362,89 +358,6 @@ void BM_ContactChurn(benchmark::State& state) {
 // one contact per second, so every run measures the same loaded regime (and
 // old-vs-new comparisons stay apples-to-apples).
 BENCHMARK(BM_ContactChurn)->Iterations(800)->Unit(benchmark::kMicrosecond);
-
-// Event-dispatch pair: the engine's dispatch-with-resync loop (pop the
-// earliest source, advance it, refresh a few other sources' pending times)
-// over a binary heap with lazy deletion vs the hierarchical EventWheel.
-// tests/event_wheel_test.cpp enforces >= 2x on exactly this loop.
-struct DispatchEntry {
-  Time time;
-  std::size_t id;
-};
-struct DispatchAfter {
-  bool operator()(const DispatchEntry& a, const DispatchEntry& b) const {
-    if (a.time != b.time) return a.time > b.time;
-    return a.id > b.id;
-  }
-};
-
-constexpr std::size_t kDispatchSources = 4096;
-constexpr std::uint64_t kDispatchSpread = 16384;
-constexpr unsigned kDispatchResyncs = 4;
-
-inline Time dispatch_delta(std::mt19937_64& rng) {
-  return 1.0 + static_cast<Time>(rng() % kDispatchSpread);
-}
-
-void BM_EventDispatchHeap(benchmark::State& state) {
-  const auto pops = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    std::mt19937_64 rng(42);
-    std::vector<Time> current(kDispatchSources);
-    std::priority_queue<DispatchEntry, std::vector<DispatchEntry>, DispatchAfter> heap;
-    for (std::size_t i = 0; i < kDispatchSources; ++i) {
-      current[i] = dispatch_delta(rng);
-      heap.push({current[i], i});
-    }
-    std::uint64_t check = 0;
-    for (std::size_t n = 0; n < pops; ++n) {
-      while (heap.top().time != current[heap.top().id]) heap.pop();  // stale entry
-      const DispatchEntry e = heap.top();
-      heap.pop();
-      check += e.id;
-      current[e.id] = e.time + dispatch_delta(rng);
-      heap.push({current[e.id], e.id});
-      for (unsigned r = 0; r < kDispatchResyncs; ++r) {
-        const std::size_t id = rng() % kDispatchSources;
-        current[id] = e.time + dispatch_delta(rng);
-        heap.push({current[id], id});
-      }
-    }
-    benchmark::DoNotOptimize(check);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(pops) *
-                          static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_EventDispatchHeap)->Arg(100000)->Unit(benchmark::kMillisecond);
-
-void BM_EventDispatchWheel(benchmark::State& state) {
-  const auto pops = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    std::mt19937_64 rng(42);
-    std::vector<Time> current(kDispatchSources);
-    EventWheel wheel(1.0);
-    for (std::size_t i = 0; i < kDispatchSources; ++i) {
-      current[i] = dispatch_delta(rng);
-      wheel.schedule(i, current[i]);
-    }
-    std::uint64_t check = 0;
-    for (std::size_t n = 0; n < pops; ++n) {
-      const auto e = wheel.peek();
-      check += e->id;
-      current[e->id] = e->time + dispatch_delta(rng);
-      wheel.schedule(e->id, current[e->id]);
-      for (unsigned r = 0; r < kDispatchResyncs; ++r) {
-        const std::size_t id = rng() % kDispatchSources;
-        current[id] = e->time + dispatch_delta(rng);
-        wheel.schedule(id, current[id]);
-      }
-    }
-    benchmark::DoNotOptimize(check);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(pops) *
-                          static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_EventDispatchWheel)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 void BM_FullSimulationRapid(benchmark::State& state) {
   ExponentialMobilityConfig mobility;

@@ -49,10 +49,8 @@
 //         are exact and its wall is tracked. `fault_overhead_per_meeting_pct`
 //         (report only) compares cost per dispatched meeting, because
 //         crashes suppress meetings and shrink the faulted run's work.
-//   pr10  powerlaw-stream on the timer wheel with a 60 s dispatch batch.
-//         `batch_identical` (exact) is 1 iff it reproduced per-event dispatch
-//         bit for bit. `wheel_schedules` (exact) pins the wheel core running:
-//         a silent fallback to the poll path would zero the wheel counters.
+//   pr10  powerlaw-stream with a 60 s dispatch batch. `batch_identical`
+//         (exact) is 1 iff it reproduced per-event dispatch bit for bit.
 //
 // Exit status: 0; 1 if an identity check failed or --json could not be
 // written; 2 on a usage error (an unknown probe prints the probe list).
@@ -565,18 +563,14 @@ int probe_pr10(const Options& opt, Record& rec) {
   RunSpec spec;
   spec.dispatch_batch = kBatchSpan;
   const Point batched = measure_point(scenario, load, spec, opt.runs, true);
-  std::fprintf(stderr, "bench_record pr10: wheel+batch wall=%.1f ms\n", batched.best.ms);
+  std::fprintf(stderr, "bench_record pr10: batched wall=%.1f ms\n", batched.best.ms);
   spec.dispatch_batch = 0.0;
   const Point unbatched = measure_point(scenario, load, spec, opt.runs, false);
-  std::fprintf(stderr, "bench_record pr10: wheel unbatched wall=%.1f ms\n", unbatched.best.ms);
+  std::fprintf(stderr, "bench_record pr10: unbatched wall=%.1f ms\n", unbatched.best.ms);
   const bool batch_identical = same_result(batched.result, unbatched.result);
   if (!batch_identical)
     std::fprintf(stderr, "bench_record pr10: batched dispatch diverged from per-event dispatch\n");
   rec.headline = batched.best;
-
-  const auto wheel = [&](const char* name) -> unsigned long long {
-    return batched.result.obs != nullptr ? batched.result.obs->metrics.value(name) : 0;
-  };
 
   rec.text("scenario", "powerlaw-stream");
   rec.text("protocol", "rapid");
@@ -584,11 +578,8 @@ int probe_pr10(const Options& opt, Record& rec) {
   rec.num("dispatch_batch_s", kBatchSpan);
   rec.trio(batched.packets, batched.result.meetings, batched.result.delivered);
   rec.count("batch_identical", batch_identical ? 1 : 0);
-  rec.count("wheel_schedules", wheel("wheel.schedules"));
-  rec.count("wheel_cascades", wheel("wheel.cascades"));
-  rec.count("wheel_advances", wheel("wheel.advances"));
   rec.num("wall_clock_ms_unbatched", unbatched.best.ms);
-  rec.exact_extra = {"batch_identical", "wheel_schedules"};
+  rec.exact_extra = {"batch_identical"};
   rec.tracked_extra = {"wall_clock_ms_unbatched"};
   return batch_identical ? 0 : 1;
 }
@@ -619,7 +610,7 @@ constexpr Probe kProbes[] = {
     {"pr7", probe_pr7, 3, 0, "synthetic serve cycle: online service mode"},
     {"pr8", probe_pr8, 1, 0, "powerlaw-stream at sim-thread widths 1/2/4/8"},
     {"pr9", probe_pr9, 1, 0, "powerlaw-stream clean vs faulted: fault injection"},
-    {"pr10", probe_pr10, 1, 0, "powerlaw-stream on the timer wheel, batched dispatch"},
+    {"pr10", probe_pr10, 1, 0, "powerlaw-stream, batched vs per-event dispatch"},
 };
 
 std::string usage(const Probe& probe) {

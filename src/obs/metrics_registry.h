@@ -57,9 +57,6 @@ enum class Counter : std::uint16_t {
   kUtilityForgets,
   kUtilityRateHits,
   kUtilityRateRecomputes,
-  kWheelAdvances,
-  kWheelCascades,
-  kWheelSchedules,
   kCount
 };
 

@@ -36,9 +36,10 @@ enum class Phase : std::uint8_t {
   kSnapshot = 7,   // service engine: snapshot save/restore
   kShardSync = 8,  // sharded engine: coordinator time inside window barriers
                    // (cross-shard dispatch + waiting on shard workers)
-  kWheelAdvance = 9,  // timer-wheel event core: cursor advance on peek and
-                      // head re-indexing after pops (mobility's lazy
-                      // generation nests under this but lands in kMobility)
+  kWheelAdvance = 9,  // next-event selection (source merge): the poll over
+                      // every source's head (mobility's lazy generation
+                      // nests under this but lands in kMobility). Name and
+                      // printed "wheel_advance" are read by perfbench.
   kCount
 };
 inline constexpr std::size_t kPhaseCount = static_cast<std::size_t>(Phase::kCount);
@@ -66,7 +67,7 @@ struct PhaseProfile {
 //   total                -     1970.9  100.0   (coverage 97.9%)
 void print_phase_table(std::ostream& os, const PhaseProfile& profile);
 // The same table as a JSON object (stable key order: catalog order plus
-// "other"/"total"), embedded by bench_pr6 and `rapid_bench --metrics`.
+// "other"/"total"), embedded by bench_record pr6 and `rapid_bench --metrics`.
 std::string phase_table_json(const PhaseProfile& profile, int indent = 2);
 
 }  // namespace rapid::obs

@@ -96,7 +96,7 @@ int run_observed_main(const Options& options) {
           static_cast<std::size_t>(options.get_int("trace-capacity", 1 << 20));
 
     // Load semantics follow the scenario kind (see sim/experiment.h); the
-    // default matches bench_pr5's powerlaw-stream operating point.
+    // default matches bench_record pr5's powerlaw-stream operating point.
     const double load = options.get_double("load", 0.25);
     const int total_runs = scenario.runs();
 

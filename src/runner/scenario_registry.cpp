@@ -92,7 +92,7 @@ void register_builtins(ScenarioRegistry& registry) {
   registry.add({"powerlaw-stream",
                 "2000-node power-law fleet streamed end-to-end (contacts pulled "
                 "lazily, never materialized; peak RSS independent of meeting "
-                "count — see bench_pr5 / BENCH_pr5.json)",
+                "count — see bench_record pr5 / BENCH_pr5.json)",
                 [] {
                   ScenarioConfig config = make_powerlaw_scenario();
                   config.stream_mobility = true;
@@ -170,7 +170,7 @@ void register_builtins(ScenarioRegistry& registry) {
                 }});
   registry.add({"powerlaw-stream-faulty",
                 "powerlaw-stream under node crashes and 5% link corruption: "
-                "the fault probes' operating point for bench_pr9",
+                "the fault probes' operating point for bench_record pr9",
                 [] {
                   // Same operating point as powerlaw-stream (keep in sync),
                   // with the fault processes switched on.

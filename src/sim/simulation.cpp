@@ -1,10 +1,10 @@
 #include "sim/simulation.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "fault/fault_model.h"
-#include "sim/event_wheel.h"
 #include "sim/shard_exec.h"
 #include "sim/shard_plan.h"
 #include "util/binio.h"
@@ -121,15 +121,6 @@ std::unique_ptr<EventSource> make_mobility_source(std::unique_ptr<MobilityModel>
 // collectors when a sharded run()/run_until() returns — between public
 // calls the Simulation is indistinguishable from a serial one.
 struct Simulation::ShardRuntime {
-  // One pumped event, stamped with everything the serial loop would have
-  // decided for it: its source (schedule meetings are pre-counted), its
-  // serial meeting index, and the shard(s) it involves.
-  struct WindowEvent {
-    SimEvent event;
-    std::size_t source = 0;
-    int meeting_index = -1;
-  };
-
   struct Slot {
     MetricsCollector metrics;
     ScratchArena arena;
@@ -141,7 +132,6 @@ struct Simulation::ShardRuntime {
   ShardExecutor exec;
   std::vector<Slot> slots;  // size num_shards + 1; last = coordinator
   obs::ObsConfig slot_obs_config;
-  std::vector<WindowEvent> batch;
   std::vector<ShardExecutor::Item> items;
   bool dirty = false;  // a window ran since the last merge
 
@@ -227,18 +217,19 @@ void Simulation::add_event_source(std::unique_ptr<EventSource> source) {
   if (source == nullptr)
     throw std::invalid_argument("Simulation::add_event_source: null source");
   sources_.push_back(std::move(source));
-  wheel_synced_ = false;
 }
 
 void Simulation::add_tap(MetricTap tap) { taps_.push_back(std::move(tap)); }
 
-std::optional<Simulation::Next> Simulation::peek_next_poll() {
+std::optional<Simulation::Next> Simulation::peek_next() {
+  RAPID_OBS_PHASE(kWheelAdvance);
   std::optional<Next> best;
   for (std::size_t i = 0; i < sources_.size(); ++i) {
     const SimEvent* event = sources_[i]->peek();
     if (event == nullptr) continue;
     // The fault stream is unbounded; clip it at the horizon here instead of
-    // letting the skip loop pop crash events forever.
+    // letting the skip loop pop crash events forever. Because the clip is
+    // re-evaluated on every pick, set_duration() re-admits the parked head.
     if (i == fault_source_ && event->time > duration_) continue;
     // Strict less-than keeps the earliest-registered source on ties.
     if (!best.has_value() || event->time < best->event->time) best = Next{i, event};
@@ -246,53 +237,26 @@ std::optional<Simulation::Next> Simulation::peek_next_poll() {
   return best;
 }
 
-std::optional<Simulation::Next> Simulation::peek_next() {
-  if (config_.event_core == SimConfig::EventCore::kPoll) return peek_next_poll();
-  if (!wheel_synced_) sync_wheel();
-  RAPID_OBS_PHASE(kWheelAdvance);
-  const std::optional<EventWheel::Entry> head = wheel_->peek();
-  if (!head.has_value()) return std::nullopt;
-  // The source's head is stable until pop(), so this re-peek is the cached
-  // event the wheel indexed (mobility's lazy generation already happened at
-  // wheel-insertion time, inside its own kMobility phase scope).
-  return Next{head->id, sources_[head->id]->peek()};
-}
-
-void Simulation::sync_wheel() {
-  if (wheel_ == nullptr) {
-    Time width = config_.wheel_slot_width;
-    if (!(width > 0)) {
-      // Horizon over the level-0+1 window: the whole run fits in the two
-      // cheapest levels, cascades stay rare, far tails overflow gracefully.
-      const Time horizon = duration_ > 0 ? duration_ : Time{1};
-      width = horizon / 4096.0;
-      if (!(width > 0)) width = 1;
+// Pump order IS the serial dispatch order, and pump-ahead admission reads
+// only the up/down mask — which only pumped fault events mutate — so any
+// batch or window shape dispatches exactly what the one-event loop would.
+void Simulation::pump_batch(Time limit, Time span, std::size_t max_events) {
+  batch_.clear();
+  while (batch_.size() < max_events) {
+    const std::optional<Next> next = peek_next();
+    if (!next.has_value() || next->event->time > limit) break;
+    Pumped pumped{*next->event, next->source};
+    sources_[next->source]->pop();
+    // Events past the day end are dropped, exactly like the legacy merge loop
+    // (a day's stragglers carry no weight in the figures).
+    if (pumped.event.time > duration_) {
+      RAPID_OBS_INC(kSimEventsSkipped);
+      continue;
     }
-    wheel_ = std::make_unique<EventWheel>(width);
-  } else {
-    wheel_->clear();
-  }
-  for (std::size_t i = 0; i < sources_.size(); ++i) wheel_resync(i);
-  wheel_synced_ = true;
-}
-
-void Simulation::wheel_resync(std::size_t source) {
-  const SimEvent* head = sources_[source]->peek();
-  if (head == nullptr || (source == fault_source_ && head->time > duration_)) {
-    // Drained — or the unbounded fault stream's head is past the horizon:
-    // park it (set_duration() drops wheel_synced_, so extending the horizon
-    // re-admits it).
-    wheel_->remove(source);
-    return;
-  }
-  wheel_->schedule(source, head->time);
-}
-
-void Simulation::pop_source(std::size_t source) {
-  sources_[source]->pop();
-  if (config_.event_core == SimConfig::EventCore::kWheel && wheel_synced_) {
-    RAPID_OBS_PHASE(kWheelAdvance);
-    wheel_resync(source);
+    if (!admit_event(pumped.event, pumped.source)) continue;
+    if (pumped.event.kind == SimEvent::Kind::kMeeting) pumped.meeting_index = meeting_index_++;
+    if (batch_.empty() && span > 0) limit = std::min(limit, pumped.event.time + span);
+    batch_.push_back(pumped);
   }
 }
 
@@ -342,17 +306,15 @@ void Simulation::apply_fault_effects(const FaultEvent& fault, MetricsCollector& 
       config_.node_faults.drop_buffers, fault.time);
 }
 
-void Simulation::dispatch(const SimEvent& event, std::size_t source) {
-  now_ = event.time;
+void Simulation::route(const Pumped& pumped, MetricsCollector& metrics) {
+  const SimEvent& event = pumped.event;
   if (event.kind == SimEvent::Kind::kPacket) {
     RAPID_OBS_INC(kSimEventsPacket);
-    RAPID_OBS_TRACE(kPacketCreate, now_, event.packet->src, event.packet->dst,
-                    event.packet->id, event.packet->size);
     RAPID_OBS_PHASE(kPacketGen);
     routers_[static_cast<std::size_t>(event.packet->src)]->on_generate(*event.packet);
   } else if (event.kind == SimEvent::Kind::kFault) {
     RAPID_OBS_INC(kSimEventsFault);
-    apply_fault_effects(event.fault, metrics_);
+    apply_fault_effects(event.fault, metrics);
   } else {
     RAPID_OBS_INC(kSimEventsMeeting);
     const Meeting& m = event.meeting;
@@ -360,11 +322,21 @@ void Simulation::dispatch(const SimEvent& event, std::size_t source) {
     // except the built-in schedule, whose totals were pre-counted by
     // metrics_.begin() — streamed and injected opportunities are counted the
     // moment they happen.
-    if (source != schedule_source_) metrics_.record_meeting(m.capacity);
+    if (pumped.source != schedule_source_) metrics.record_meeting(m.capacity);
     run_contact(*routers_[static_cast<std::size_t>(m.a)],
-                *routers_[static_cast<std::size_t>(m.b)], m, meeting_index_++,
-                config_.contact, workload_, metrics_);
+                *routers_[static_cast<std::size_t>(m.b)], m, pumped.meeting_index,
+                config_.contact, workload_, metrics);
   }
+}
+
+void Simulation::dispatch(const Pumped& pumped) {
+  const SimEvent& event = pumped.event;
+  now_ = event.time;
+  if (event.kind == SimEvent::Kind::kPacket) {
+    RAPID_OBS_TRACE(kPacketCreate, now_, event.packet->src, event.packet->dst,
+                    event.packet->id, event.packet->size);
+  }
+  route(pumped, metrics_);
   for (const MetricTap& tap : taps_) tap(event, metrics_);
 }
 
@@ -379,34 +351,13 @@ Time Simulation::dispatch_span() const {
 
 // Drains one dispatch batch: the first runnable event anchors it, and every
 // admitted event within dispatch_span() sim-seconds of that anchor (and
-// <= limit) is pumped, then dispatched in pump order. Pump order IS the
-// serial dispatch order, and pump-ahead admission reads only the up/down
-// mask — which only pumped fault events mutate — so batching any span is
-// bit-identical to the classic one-event loop (exactly the argument the
-// sharded window pump rests on).
+// <= limit) is pumped, then dispatched in pump order — bit-identical to the
+// classic one-event loop for any span (see pump_batch).
 bool Simulation::step_batch(Time limit) {
   const Time span = dispatch_span();
-  batch_.clear();
-  Time batch_end = 0;
-  while (true) {
-    const std::optional<Next> next = peek_next();
-    if (!next.has_value() || next->event->time > limit) break;
-    if (!batch_.empty() && next->event->time > batch_end) break;
-    const SimEvent event = *next->event;
-    pop_source(next->source);
-    // Events past the day end are dropped, exactly like the legacy merge loop
-    // (a day's stragglers carry no weight in the figures).
-    if (event.time > duration_) {
-      RAPID_OBS_INC(kSimEventsSkipped);
-      continue;
-    }
-    if (!admit_event(event, next->source)) continue;
-    if (batch_.empty()) batch_end = event.time + span;
-    batch_.push_back(Pumped{event, next->source});
-    if (span <= 0) break;
-  }
+  pump_batch(limit, span, span > 0 ? std::numeric_limits<std::size_t>::max() : 1);
   if (batch_.empty()) return false;
-  for (const Pumped& pe : batch_) dispatch(pe.event, pe.source);
+  for (const Pumped& pumped : batch_) dispatch(pumped);
   return true;
 }
 
@@ -431,20 +382,7 @@ void Simulation::run_until(Time t) {
   if (obs_.profile.enabled) obs_.profile.total_ns += obs::monotonic_ns() - start;
 }
 
-void Simulation::run() {
-  if (use_sharding()) {
-    run_until_sharded(kTimeInfinity);
-    return;
-  }
-  const obs::ContextScope obs_scope(&obs_);
-  const std::uint64_t start = obs_.profile.enabled ? obs::monotonic_ns() : 0;
-  {
-    RAPID_OBS_PHASE(kDispatch);
-    while (step_batch(kTimeInfinity)) {
-    }
-  }
-  if (obs_.profile.enabled) obs_.profile.total_ns += obs::monotonic_ns() - start;
-}
+void Simulation::run() { run_until(kTimeInfinity); }
 
 // --- sharded execution ----------------------------------------------------------
 
@@ -464,55 +402,33 @@ void Simulation::ensure_shard_runtime() {
   shard_ = std::make_unique<ShardRuntime>(plan, workload_, config_.obs);
 }
 
-// The serial window pump: pulls events through the exact serial source
-// merge (same peek_next, same tie-breaks, same past-duration skips), stamps
-// each with its serial meeting index, then hands the window to the barrier
-// executor. Because every per-event decision that orders or numbers events
-// is made here, single-threaded, the shards only ever see the serial
-// per-node order — which is what makes the whole path bit-identical.
+// The serial window pump: pulls each window through the same pump_batch as
+// the serial loop (same merge, tie-breaks, past-duration skips, admission
+// and meeting numbering), then hands it to the barrier executor. Because
+// every per-event decision that orders or numbers events is made here,
+// single-threaded, the shards only ever see the serial per-node order —
+// which is what makes the whole path bit-identical. A fault event's
+// router-side effects still execute in the window, ordered against the
+// node's meetings by the executor.
 void Simulation::run_until_sharded(Time t) {
   const obs::ContextScope obs_scope(&obs_);
   const std::uint64_t start = obs_.profile.enabled ? obs::monotonic_ns() : 0;
   ensure_shard_runtime();
-  auto& batch = shard_->batch;
   const std::size_t window = static_cast<std::size_t>(
       config_.shard_window > 0 ? config_.shard_window : 1);
+  // Windows ride the dispatch-batch spans: a span boundary cuts the window
+  // early, so batched and sharded runs cut at the same boundaries. Any
+  // window boundary is bit-identity-safe (the executor is order-correct for
+  // every windowing).
   const Time span = dispatch_span();
   while (true) {
-    batch.clear();
-    Time window_end = 0;
     {
       RAPID_OBS_PHASE(kDispatch);
-      while (batch.size() < window) {
-        const std::optional<Next> next = peek_next();
-        if (!next.has_value() || next->event->time > t) break;
-        // Windows ride the dispatch-batch spans: a span boundary cuts the
-        // window early, so batched and sharded runs cut at the same
-        // boundaries. Any window boundary is bit-identity-safe (the
-        // executor is order-correct for every windowing).
-        if (span > 0 && !batch.empty() && next->event->time > window_end) break;
-        ShardRuntime::WindowEvent we;
-        we.event = *next->event;
-        we.source = next->source;
-        pop_source(next->source);
-        if (we.event.time > duration_) {
-          RAPID_OBS_INC(kSimEventsSkipped);
-          continue;
-        }
-        // Mask updates and suppression run here, in serial pump order —
-        // the same decisions the serial loop would make, which is what
-        // keeps faulted runs bit-identical across thread counts. A fault
-        // event's router-side effects still execute in the window, ordered
-        // against the node's meetings by the executor.
-        if (!admit_event(we.event, we.source)) continue;
-        if (we.event.kind == SimEvent::Kind::kMeeting) we.meeting_index = meeting_index_++;
-        if (batch.empty()) window_end = we.event.time + span;
-        batch.push_back(we);
-      }
+      pump_batch(t, span, window);
     }
-    if (batch.empty()) break;
+    if (batch_.empty()) break;
     execute_window();
-    now_ = batch.back().event.time;
+    now_ = batch_.back().event.time;
   }
   merge_shard_state();
   if (obs_.profile.enabled) obs_.profile.total_ns += obs::monotonic_ns() - start;
@@ -521,17 +437,18 @@ void Simulation::run_until_sharded(Time t) {
 void Simulation::execute_window() {
   ShardRuntime& rt = *shard_;
   rt.items.clear();
-  rt.items.reserve(rt.batch.size());
+  rt.items.reserve(batch_.size());
   std::uint64_t cross = 0;
-  for (const ShardRuntime::WindowEvent& we : rt.batch) {
+  for (const Pumped& pumped : batch_) {
+    const SimEvent& event = pumped.event;
     ShardExecutor::Item item;
-    if (we.event.kind == SimEvent::Kind::kPacket) {
-      item.shard_a = item.shard_b = rt.plan.shard_of(we.event.packet->src);
-    } else if (we.event.kind == SimEvent::Kind::kFault) {
-      item.shard_a = item.shard_b = rt.plan.shard_of(we.event.fault.node);
+    if (event.kind == SimEvent::Kind::kPacket) {
+      item.shard_a = item.shard_b = rt.plan.shard_of(event.packet->src);
+    } else if (event.kind == SimEvent::Kind::kFault) {
+      item.shard_a = item.shard_b = rt.plan.shard_of(event.fault.node);
     } else {
-      item.shard_a = rt.plan.shard_of(we.event.meeting.a);
-      item.shard_b = rt.plan.shard_of(we.event.meeting.b);
+      item.shard_a = rt.plan.shard_of(event.meeting.a);
+      item.shard_b = rt.plan.shard_of(event.meeting.b);
       if (item.shard_a != item.shard_b) ++cross;
     }
     rt.items.push_back(item);
@@ -549,28 +466,11 @@ void Simulation::execute_window() {
 }
 
 void Simulation::dispatch_shard_item(std::size_t index, int slot) {
-  ShardRuntime& rt = *shard_;
-  ShardRuntime::Slot& sl = rt.slots[static_cast<std::size_t>(slot)];
-  const ShardRuntime::WindowEvent& we = rt.batch[index];
+  ShardRuntime::Slot& sl = shard_->slots[static_cast<std::size_t>(slot)];
   const obs::ContextScope obs_scope(sl.obs.get());
   const ShardBindingScope bindings(&sl.bindings);
   RAPID_OBS_PHASE(kDispatch);
-  const SimEvent& event = we.event;
-  if (event.kind == SimEvent::Kind::kPacket) {
-    RAPID_OBS_INC(kSimEventsPacket);
-    RAPID_OBS_PHASE(kPacketGen);
-    routers_[static_cast<std::size_t>(event.packet->src)]->on_generate(*event.packet);
-  } else if (event.kind == SimEvent::Kind::kFault) {
-    RAPID_OBS_INC(kSimEventsFault);
-    apply_fault_effects(event.fault, sl.metrics);
-  } else {
-    RAPID_OBS_INC(kSimEventsMeeting);
-    const Meeting& m = event.meeting;
-    if (we.source != schedule_source_) sl.metrics.record_meeting(m.capacity);
-    run_contact(*routers_[static_cast<std::size_t>(m.a)],
-                *routers_[static_cast<std::size_t>(m.b)], m, we.meeting_index,
-                config_.contact, workload_, sl.metrics);
-  }
+  route(batch_[index], sl.metrics);
 }
 
 void Simulation::merge_shard_state() {
@@ -634,8 +534,6 @@ void Simulation::fast_forward_sources(Time cutoff) {
       source->pop();
     }
   }
-  // Source cursors moved behind the wheel's back; rebuild it lazily.
-  wheel_synced_ = false;
 }
 
 SimResult Simulation::finish() const {
@@ -643,13 +541,6 @@ SimResult Simulation::finish() const {
   // tallies etc.) here, while they are still alive — they are destroyed
   // after finish(), which is why the flush cannot live in their destructors.
   for (const auto& router : routers_) router->flush_obs(obs_);
-  if (wheel_ != nullptr) {
-    // Wheel probes accrue inside the wheel (it knows nothing of obs);
-    // flushed once here like the router-side counters.
-    obs_.metrics.add(obs::Counter::kWheelSchedules, wheel_->schedules());
-    obs_.metrics.add(obs::Counter::kWheelCascades, wheel_->cascades());
-    obs_.metrics.add(obs::Counter::kWheelAdvances, wheel_->advances());
-  }
   SimResult result = metrics_.finalize(workload_, duration_);
   result.obs = std::make_shared<const obs::ObsReport>(obs_.report());
   return result;

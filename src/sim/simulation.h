@@ -21,10 +21,9 @@
 // ties broken by registration order. The built-in workload source registers
 // before the meeting source, which reproduces the legacy merge rule "a
 // packet created at time t is generated before a meeting at time t". The
-// default event core indexes each source's head event in a hierarchical
-// timer wheel (sim/event_wheel.h) instead of polling every source per
-// event; SimConfig::event_core selects the legacy poll for differential
-// testing — the two are bit-identical by construction.
+// event core is a plain poll over every source per event: a run has two or
+// three (workload; schedule, mobility or ingest feed; one fleet-wide fault
+// source when node faults are on), so the scan is a handful of compares.
 #pragma once
 
 #include <functional>
@@ -41,8 +40,6 @@
 #include "obs/obs.h"
 
 namespace rapid {
-
-class EventWheel;  // sim/event_wheel.h
 
 struct SimConfig {
   // Buffer capacity is a router property (captured by the factory); the
@@ -74,14 +71,6 @@ struct SimConfig {
   // per policy, and recovering nodes rejoin with stale routing state. The
   // default leaves nodes immortal and adds zero hot-path cost.
   NodeFaultConfig node_faults;
-  // Event-core selection. kWheel (default) indexes each source's head event
-  // in a hierarchical timer wheel (sim/event_wheel.h) so finding the next
-  // event is an O(1)-amortized cursor advance; kPoll is the classic linear
-  // scan over every source per event. Bit-identical by construction (the
-  // wheel preserves the exact (time, registration-order) tie-break); the
-  // poll path stays selectable for differential tests.
-  enum class EventCore { kWheel, kPoll };
-  EventCore event_core = EventCore::kWheel;
   // Batched contact dispatch: when > 0, step() drains every event within
   // this many sim-seconds of the batch's first event into a flat span, then
   // dispatches them in pump order. 0 (default) dispatches per event, the
@@ -92,9 +81,6 @@ struct SimConfig {
   // observers keep seeing per-event metric order. Sharded windows cut at
   // the same span boundaries.
   Time dispatch_batch = 0;
-  // Level-0 slot granularity of the event wheel, in sim-seconds; <= 0
-  // derives it from the experiment horizon (duration / 4096).
-  Time wheel_slot_width = 0;
 };
 
 struct SimEvent {
@@ -163,7 +149,7 @@ class Simulation {
   bool step();
   // Processes all events with time <= t (and leaves later ones queued).
   void run_until(Time t);
-  // Drains every source.
+  // Drains every source: run_until(kTimeInfinity).
   void run();
 
   // Time of the last processed event (0 before the first step).
@@ -174,12 +160,9 @@ class Simulation {
   int num_nodes() const { return num_nodes_; }
   // Open-ended drivers (the service engine) move the horizon as contacts
   // stream in; events past the current duration are skipped, exactly as on a
-  // fixed-horizon run. Invalidates the event wheel: a longer horizon can
-  // un-park the fault source's clipped head, so the wheel resyncs lazily.
-  void set_duration(Time duration) {
-    duration_ = duration;
-    wheel_synced_ = false;
-  }
+  // fixed-horizon run. The unbounded fault stream is clipped at the
+  // current horizon on every pick, so a longer horizon re-admits it.
+  void set_duration(Time duration) { duration_ = duration; }
 
   Router& router(NodeId node) { return *routers_[static_cast<std::size_t>(node)]; }
   const MetricsCollector& metrics() const { return metrics_; }
@@ -227,30 +210,31 @@ class Simulation {
     std::size_t source;
     const SimEvent* event;
   };
+  // The event core: the earliest head over every source, ties to the
+  // earliest-registered one; the fault source's head is clipped at the
+  // current horizon.
   std::optional<Next> peek_next();
-  std::optional<Next> peek_next_poll();  // the legacy linear source scan
-  void dispatch(const SimEvent& event, std::size_t source);
 
-  // --- timer-wheel event core (sim/event_wheel.h) ---------------------------
-  // The wheel indexes each source by its head-event time; sync_wheel()
-  // rebuilds it from scratch (cheap: one entry per source) whenever the
-  // source set, the horizon, or source cursors changed behind its back
-  // (add_event_source, set_duration, fast_forward_sources, load paths).
-  void sync_wheel();
-  // Re-index source i after its head moved (pop): schedule the new head, or
-  // drop the entry when drained — or when it is the fault source's and past
-  // the horizon (the unbounded fault stream is clipped here, parked until a
-  // set_duration() extends the horizon and resyncs).
-  void wheel_resync(std::size_t source);
-  // pop + wheel re-index, the one way the run loops consume an event.
-  void pop_source(std::size_t source);
-
-  // --- batched contact dispatch ---------------------------------------------
-  // One pumped, admitted event awaiting dispatch.
+  // One pumped, admitted event awaiting dispatch, stamped with everything
+  // the serial merge decides for it: its source (schedule meetings are
+  // pre-counted) and its serial meeting index (-1 for non-meetings).
   struct Pumped {
     SimEvent event;
     std::size_t source = 0;
+    int meeting_index = -1;
   };
+  // The pump shared by the serial and sharded loops: refills batch_ with up
+  // to max_events admitted events of time <= limit, in merge order, cutting
+  // at the first event more than `span` sim-seconds past the batch's first
+  // (span <= 0: no time cut). Past-duration events are popped and skipped.
+  void pump_batch(Time limit, Time span, std::size_t max_events);
+  // The router-side work of one pumped event, accrued into `metrics` (the
+  // run's collector on the serial path, a shard slot's on the sharded one).
+  void route(const Pumped& pumped, MetricsCollector& metrics);
+  // Serial dispatch: route() plus the clock, the trace ring and the taps.
+  void dispatch(const Pumped& pumped);
+
+  // --- batched contact dispatch ---------------------------------------------
   // The effective batch span for this run: SimConfig::dispatch_batch, or 0
   // when per-event observers (taps, trace ring) must see per-event order.
   Time dispatch_span() const;
@@ -313,13 +297,7 @@ class Simulation {
   std::vector<std::unique_ptr<EventSource>> sources_;
   std::vector<MetricTap> taps_;
 
-  // Timer-wheel event core; built lazily on the first peek (the slot width
-  // derives from the horizon) and rebuilt whenever wheel_synced_ drops.
-  // Null for the whole run under EventCore::kPoll.
-  std::unique_ptr<EventWheel> wheel_;
-  bool wheel_synced_ = false;
-
-  // Batched-dispatch staging: the pumped events of the current batch,
+  // The pumped events of the current batch (serial) or window (sharded),
   // reused across batches so the steady state allocates nothing.
   std::vector<Pumped> batch_;
 

@@ -1,16 +1,14 @@
-// The event-core determinism matrix: SimConfig::EventCore::kWheel (the
-// hierarchical timer wheel) and SimConfig::dispatch_batch (batched contact
-// dispatch) must be pure execution-shape knobs — every combination produces
-// the byte-identical SimResult AND the byte-identical engine snapshot of the
-// serial per-event linear-poll run, the way shard_matrix_test.cpp pins
-// --sim-threads.
+// The event-core determinism matrix: SimConfig::dispatch_batch (batched
+// contact dispatch) must be a pure execution-shape knob — every span, alone
+// or with sharding, produces the byte-identical SimResult AND the
+// byte-identical engine snapshot of the serial per-event run, the way
+// shard_matrix_test.cpp pins --sim-threads.
 //
-// Coverage, per ISSUE 10's satellite: same-slot ties across source kinds
-// (workload packets created at the exact times meetings fire), events
-// exactly on batch/window boundaries, run_until() stopping mid-batch, wheel
-// slot widths from far-finer to far-coarser than the event spacing, the
-// fault source's parked-beyond-duration head, and sharded execution with
-// the wheel and batching both on.
+// Coverage: exact ties across source kinds (workload packets created at
+// the exact times meetings fire), events exactly on batch/window
+// boundaries, run_until() stopping mid-batch, the fault source's
+// parked-beyond-duration head (and its re-admission when the horizon
+// grows), and sharded execution with batching on.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -28,9 +26,7 @@ namespace rapid {
 namespace {
 
 struct CoreKnobs {
-  SimConfig::EventCore core = SimConfig::EventCore::kWheel;
   Time dispatch_batch = 0;
-  Time wheel_slot_width = 0;  // 0 = the engine's duration/4096 default
   int sim_threads = 1;
 };
 
@@ -63,9 +59,7 @@ RunOutput run_case(const Scenario& scenario, const Instance& instance, ProtocolK
   sim.contact.fault.seed ^= instance.fault_seed;
   sim.node_faults = scenario.config().node_faults;
   sim.node_faults.seed ^= instance.fault_seed;
-  sim.event_core = knobs.core;
   sim.dispatch_batch = knobs.dispatch_batch;
-  sim.wheel_slot_width = knobs.wheel_slot_width;
   sim.sim_threads = knobs.sim_threads;
   if (knobs.sim_threads > 1) sim.shard_window = 61;
 
@@ -112,7 +106,7 @@ struct ScenarioCase {
 // Trace (dense real meeting times), streamed power-law (lazy mobility
 // generation inside peek), and the trace under crash + corruption faults
 // (the fault source's clipped/parked head and its mid-window mask flips are
-// the hardest ordering clients the wheel has).
+// the hardest ordering clients of the pump).
 std::vector<ScenarioCase> scenario_cases() {
   std::vector<ScenarioCase> cases;
   ScenarioConfig trace = make_trace_scenario();
@@ -136,37 +130,14 @@ std::vector<ScenarioCase> scenario_cases() {
   return cases;
 }
 
-TEST(EventCore, WheelMatchesPollAcrossSlotWidths) {
-  const Time kWidths[] = {0 /* duration/4096 default */, 1.0, 3600.0};
-  for (const ScenarioCase& sc : scenario_cases()) {
-    const Scenario scenario(sc.config);
-    const Instance instance = scenario.instance(0, 2.0);
-    for (ProtocolKind kind : {ProtocolKind::kRapid, ProtocolKind::kEpidemic}) {
-      CoreKnobs poll;
-      poll.core = SimConfig::EventCore::kPoll;
-      const RunOutput baseline = run_case(scenario, instance, kind, poll);
-      EXPECT_GT(baseline.result.meetings, 0u) << sc.name;
-      if (sc.config.node_faults.enabled())
-        EXPECT_GT(baseline.result.crashes, 0u) << sc.name;
-      for (const Time width : kWidths) {
-        CoreKnobs wheel;
-        wheel.wheel_slot_width = width;
-        const RunOutput got = run_case(scenario, instance, kind, wheel);
-        expect_bit_identical(baseline, got,
-                             std::string(sc.name) + "/" + to_string(kind) + "/width=" +
-                                 std::to_string(width));
-      }
-    }
-  }
-}
-
 TEST(EventCore, BatchedDispatchMatchesPerEventForAnySpan) {
   const Time kSpans[] = {1.0, 61.0, 3600.0, 1.0e9};
   for (const ScenarioCase& sc : scenario_cases()) {
     const Scenario scenario(sc.config);
     const Instance instance = scenario.instance(0, 2.0);
-    CoreKnobs per_event;  // wheel on, batching off
-    const RunOutput baseline = run_case(scenario, instance, ProtocolKind::kRapid, per_event);
+    const RunOutput baseline = run_case(scenario, instance, ProtocolKind::kRapid, CoreKnobs{});
+    EXPECT_GT(baseline.result.meetings, 0u) << sc.name;
+    if (sc.config.node_faults.enabled()) EXPECT_GT(baseline.result.crashes, 0u) << sc.name;
     for (const Time span : kSpans) {
       CoreKnobs batched;
       batched.dispatch_batch = span;
@@ -174,24 +145,19 @@ TEST(EventCore, BatchedDispatchMatchesPerEventForAnySpan) {
       expect_bit_identical(baseline, got,
                            std::string(sc.name) + "/span=" + std::to_string(span));
     }
-    // Batching must also be inert under the poll core.
-    CoreKnobs poll_batched;
-    poll_batched.core = SimConfig::EventCore::kPoll;
-    poll_batched.dispatch_batch = 61.0;
-    const RunOutput got = run_case(scenario, instance, ProtocolKind::kRapid, poll_batched);
-    expect_bit_identical(baseline, got, std::string(sc.name) + "/poll+span");
   }
 }
 
+// Sharded windows with batching on must reproduce the serial per-event run.
+// The id predates the single event core; it is kept so the test's history
+// stays continuous.
 TEST(EventCore, ShardedWheelWithBatchingMatchesSerialPoll) {
   ScenarioConfig config = make_powerlaw_scenario();
   config.stream_mobility = true;
   config.synthetic_runs = 1;
   const Scenario scenario(config);
   const Instance instance = scenario.instance(0, 2.0);
-  CoreKnobs poll;
-  poll.core = SimConfig::EventCore::kPoll;
-  const RunOutput baseline = run_case(scenario, instance, ProtocolKind::kRapid, poll);
+  const RunOutput baseline = run_case(scenario, instance, ProtocolKind::kRapid, CoreKnobs{});
   for (const int threads : {2, 4}) {
     CoreKnobs sharded;
     sharded.dispatch_batch = 61.0;
@@ -205,10 +171,10 @@ TEST(EventCore, ShardedWheelWithBatchingMatchesSerialPoll) {
 
 // A hand-built world where every ordering hazard is exact by construction:
 // meetings at integer multiples of the batch span (events exactly ON batch
-// and slot boundaries), several meetings sharing one timestamp (same-slot
-// ties between schedule entries), and packets created at exactly those same
-// times (ties ACROSS source kinds — the workload source registers before
-// the schedule source, so it must win every such tie under both cores).
+// boundaries), several meetings sharing one timestamp (ties between
+// schedule entries), and packets created at exactly those same times (ties
+// ACROSS source kinds — the workload source registers before the schedule
+// source, so it must win every such tie at every batch span).
 struct TieWorld {
   MeetingSchedule schedule;
   PacketPool workload;
@@ -248,9 +214,7 @@ RouterFactory tie_factory() {
 
 SimResult run_tie_world(const TieWorld& world, const CoreKnobs& knobs) {
   SimConfig sim;
-  sim.event_core = knobs.core;
   sim.dispatch_batch = knobs.dispatch_batch;
-  sim.wheel_slot_width = knobs.wheel_slot_width;
   Simulation simulation(world.schedule, world.workload, tie_factory(), sim);
   simulation.run();
   return simulation.finish();
@@ -267,35 +231,24 @@ void expect_same_result(const SimResult& a, const SimResult& b, const std::strin
 
 TEST(EventCore, ExactTiesAndBatchBoundariesAreCoreInvariant) {
   const TieWorld world = make_tie_world();
-  CoreKnobs poll;
-  poll.core = SimConfig::EventCore::kPoll;
-  const SimResult baseline = run_tie_world(world, poll);
+  const SimResult baseline = run_tie_world(world, CoreKnobs{});
   EXPECT_GT(baseline.meetings, 0u);
   EXPECT_GT(baseline.delivered, 0u);
 
-  // Slot width exactly the meeting spacing, exactly the span, far finer and
-  // far coarser — ties and boundary events must never reorder.
-  struct Case {
-    Time span;
-    Time width;
-  };
-  const Case kCases[] = {{0, 50.0}, {0, 0.001}, {50.0, 50.0}, {50.0, 7.0},
-                         {25.0, 0}, {1.0e9, 600.0}};
-  for (const Case& c : kCases) {
-    CoreKnobs wheel;
-    wheel.dispatch_batch = c.span;
-    wheel.wheel_slot_width = c.width;
-    const SimResult got = run_tie_world(world, wheel);
-    expect_same_result(baseline, got,
-                       "span=" + std::to_string(c.span) + " width=" + std::to_string(c.width));
+  // Spans exactly the meeting spacing, half of it (every mid-span event on
+  // a boundary), one that divides nothing, and one covering the whole run —
+  // ties and boundary events must never reorder.
+  for (const Time span : {50.0, 25.0, 7.0, 1.0e9}) {
+    CoreKnobs batched;
+    batched.dispatch_batch = span;
+    const SimResult got = run_tie_world(world, batched);
+    expect_same_result(baseline, got, "span=" + std::to_string(span));
   }
 }
 
 TEST(EventCore, RunUntilStopsMidBatchAndResumesSeamlessly) {
   const TieWorld world = make_tie_world();
-  CoreKnobs poll;
-  poll.core = SimConfig::EventCore::kPoll;
-  const SimResult baseline = run_tie_world(world, poll);
+  const SimResult baseline = run_tie_world(world, CoreKnobs{});
 
   SimConfig sim;
   sim.dispatch_batch = 50.0;
@@ -335,6 +288,77 @@ TEST(EventCore, StepDrainsWholeBatchesAndFewerOfThem) {
   EXPECT_LT(steps_batched, steps_unbatched)
       << "a positive span must coalesce multiple events per step";
   expect_same_result(unbatched, batched, "stepped batching");
+}
+
+// The fault stream is unbounded, so the core clips its head at the current
+// horizon instead of popping crash events forever. An open-ended driver
+// (the service engine) grows the horizon with set_duration(); the parked
+// head must then be re-admitted, and nothing may ever run past the horizon
+// in force. Run per event with a tap that sees every dispatch, and batched
+// + sharded without one: both must agree.
+TEST(EventCore, ParkedFaultHeadIsReadmittedWhenTheHorizonGrows) {
+  constexpr Time kFirstHorizon = 1000.0;
+  constexpr Time kSecondHorizon = 3000.0;
+  const TieWorld world = make_tie_world();
+  MeetingSchedule meetings;  // a contact every 10 s, past both horizons
+  meetings.num_nodes = world.schedule.num_nodes;
+  for (int k = 1; k <= 400; ++k)
+    meetings.add(static_cast<NodeId>(k % 6), static_cast<NodeId>((k + 1) % 6),
+                 static_cast<Time>(k) * 10.0, 16_KB);
+  SimConfig base;
+  base.node_faults.mean_uptime = 200.0;
+  base.node_faults.mean_downtime = 50.0;
+
+  struct Variant {
+    const char* name;
+    Time dispatch_batch;
+    int sim_threads;
+    bool tap;
+  };
+  std::vector<std::size_t> crashes_per_variant;
+  for (const Variant v : {Variant{"per-event+tap", 0, 1, true},
+                          Variant{"batched+sharded", 60.0, 2, false}}) {
+    SCOPED_TRACE(v.name);
+    SimConfig config = base;
+    config.dispatch_batch = v.dispatch_batch;
+    config.sim_threads = v.sim_threads;
+    Simulation sim(SimBounds{meetings.num_nodes, kFirstHorizon}, world.workload, tie_factory(),
+                   config);
+    sim.add_event_source(make_schedule_source(meetings));
+    Time horizon = kFirstHorizon;
+    std::size_t late = 0;  // dispatched events past the horizon in force
+    std::size_t faults = 0;
+    if (v.tap) {
+      sim.add_tap([&](const SimEvent& event, const MetricsCollector&) {
+        if (event.time > horizon) ++late;
+        if (event.kind == SimEvent::Kind::kFault) ++faults;
+      });
+    }
+
+    sim.run();
+    EXPECT_LE(sim.now(), kFirstHorizon);
+    EXPECT_TRUE(sim.done()) << "the parked fault head must not count as pending";
+    const std::size_t first_crashes = sim.report_at(kFirstHorizon).crashes;
+    EXPECT_GT(first_crashes, 0u);
+    const std::size_t first_faults = faults;
+
+    horizon = kSecondHorizon;
+    sim.set_duration(kSecondHorizon);
+    EXPECT_FALSE(sim.done()) << "a longer horizon must re-admit the fault head";
+    sim.run();  // terminates: the stream is clipped again at the new horizon
+    EXPECT_GT(sim.now(), kFirstHorizon);
+    EXPECT_LE(sim.now(), kSecondHorizon);
+    EXPECT_TRUE(sim.done());
+    EXPECT_FALSE(sim.step());
+    const std::size_t second_crashes = sim.report_at(kSecondHorizon).crashes;
+    EXPECT_GT(second_crashes, first_crashes);
+    if (v.tap) {
+      EXPECT_EQ(late, 0u);
+      EXPECT_GT(faults, first_faults);
+    }
+    crashes_per_variant.push_back(second_crashes);
+  }
+  EXPECT_EQ(crashes_per_variant.front(), crashes_per_variant.back());
 }
 
 }  // namespace

@@ -469,8 +469,8 @@ TEST(ObsSimulationTest, ProfiledRunAttributesMostOfTheWall) {
   EXPECT_GT(p.calls[static_cast<std::size_t>(Phase::kDispatch)], 0u);
   EXPECT_GT(p.calls[static_cast<std::size_t>(Phase::kRouting)], 0u);
   EXPECT_GT(p.calls[static_cast<std::size_t>(Phase::kTransfer)], 0u);
-  // The default event core is the timer wheel: its cursor advances must be
-  // attributed to kWheelAdvance, not leak into "other". (kMobility stays 0
+  // Next-event selection (the source merge) must be attributed to
+  // kWheelAdvance, not leak into "other". (kMobility stays 0
   // here — this scenario materializes its schedule up front; the streaming
   // attribution is exercised by the profile run in CI's obs job.)
   EXPECT_GT(p.calls[static_cast<std::size_t>(Phase::kWheelAdvance)], 0u);

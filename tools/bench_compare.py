@@ -47,9 +47,10 @@ def main():
     parser.add_argument("--tolerance", type=float, default=0.10,
                         help="allowed fractional regression (default 0.10)")
     parser.add_argument("--wall-tolerance", type=float, default=None,
-                        help="override tolerance for wall_clock_ms and peak_rss_kb "
-                             "(hardware-dependent metrics; CI runners differ from the "
-                             "machine that produced the committed baseline)")
+                        help="override tolerance for every wall_clock_ms* key and every "
+                             "*_ms / *_kb key (hardware-dependent metrics; CI runners "
+                             "differ from the machine that produced the committed "
+                             "baseline)")
     args = parser.parse_args()
 
     current = load(args.current)
@@ -85,9 +86,10 @@ def main():
                 "(determinism guard; the workload or protocol behaviour changed)")
 
     # Wall-clock and RSS-style metrics vary with the machine; any *_ms or
-    # *_kb metric gets the wide --wall-tolerance when one is given.
+    # *_kb metric, and every wall_clock_ms* variant (wall_clock_ms_faulted,
+    # wall_clock_ms_t4, ...), gets the wide --wall-tolerance when one is given.
     def is_hardware_dependent(key):
-        return key.endswith("_ms") or key.endswith("_kb")
+        return key.startswith("wall_clock_ms") or key.endswith(("_ms", "_kb"))
 
     for key in tracked:
         if key not in current:
