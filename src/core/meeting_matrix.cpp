@@ -21,17 +21,15 @@ MeetingMatrix::MeetingMatrix(NodeId owner, int num_nodes, int max_hops)
   if (max_hops < 1) throw std::invalid_argument("MeetingMatrix: max_hops < 1");
   rows_.resize(static_cast<std::size_t>(num_nodes));  // versions materialize lazily
   stamps_.assign(static_cast<std::size_t>(num_nodes), -kTimeInfinity);
-  last_met_.assign(static_cast<std::size_t>(num_nodes), 0.0);
-  meet_count_.assign(static_cast<std::size_t>(num_nodes), 0);
-  hop_rows_.resize(static_cast<std::size_t>(num_nodes));
 }
 
 void MeetingMatrix::observe_meeting(NodeId peer, Time now) {
   if (peer < 0 || peer >= num_nodes_ || peer == owner_)
     throw std::invalid_argument("MeetingMatrix::observe_meeting: bad peer");
-  auto& count = meet_count_[static_cast<std::size_t>(peer)];
-  auto& last = last_met_[static_cast<std::size_t>(peer)];
-  const Time gap = now - last;  // first gap measured from time 0
+  auto met = std::lower_bound(met_.begin(), met_.end(), peer,
+                              [](const Met& m, NodeId p) { return m.peer < p; });
+  if (met == met_.end() || met->peer != peer) met = met_.insert(met, Met{peer, 0, 0.0});
+  const Time gap = now - met->last;  // first gap measured from time 0
 
   // Own-row versions are immutable once gossiped: clone before editing when
   // anyone else holds the current version (the gossiped copy stays valid
@@ -51,14 +49,14 @@ void MeetingMatrix::observe_meeting(NodeId peer, Time now) {
   auto at = std::lower_bound(finite.begin(), finite.end(), peer, column_less);
   if (at == finite.end() || at->first != peer) at = finite.insert(at, {peer, kTimeInfinity});
   Time& cell = at->second;
-  if (count == 0) {
+  if (met->count == 0) {
     cell = gap;
   } else {
-    cell += (gap - cell) / static_cast<double>(count + 1);
+    cell += (gap - cell) / static_cast<double>(met->count + 1);
   }
   fresh->stamp = now;
-  ++count;
-  last = now;
+  ++met->count;
+  met->last = now;
   stamps_[static_cast<std::size_t>(owner_)] = now;
   ++generation_;
 }
@@ -132,8 +130,9 @@ RelaxScratch& relax_scratch() {
 }  // namespace
 
 const std::vector<Time>& MeetingMatrix::hop_row(NodeId from) const {
-  HopRow& cached = hop_rows_[static_cast<std::size_t>(from)];
-  if (!cached.dist.empty() && cached.generation == generation_) return cached.dist;
+  HopRow& cached = from == owner_ ? own_hops_ : other_hops_;
+  if (cached.source == from && !cached.dist.empty() && cached.generation == generation_)
+    return cached.dist;
 
   // Single-source relaxation: after round r, dist[v] is the cheapest sum of
   // expected pairwise meeting times along a path of at most r+1 rows (never
@@ -212,6 +211,7 @@ const std::vector<Time>& MeetingMatrix::hop_row(NodeId from) const {
       dist[static_cast<std::size_t>(v)] = scratch.best[static_cast<std::size_t>(v)];
     scratch.frontier.swap(scratch.next_frontier);
   }
+  cached.source = from;
   cached.generation = generation_;
   return dist;
 }
@@ -228,8 +228,15 @@ void MeetingMatrix::save(BinWriter& out) const {
   out.u64(generation_);
   const auto n = static_cast<std::size_t>(num_nodes_);
   for (std::size_t u = 0; u < n; ++u) out.f64(stamps_[u]);
-  for (std::size_t u = 0; u < n; ++u) out.f64(last_met_[u]);
-  for (std::size_t u = 0; u < n; ++u) out.i64(meet_count_[u]);
+  // The meeting history goes out dense as well: (0, 0) for peers never met.
+  std::vector<Time> last(n, 0.0);
+  std::vector<int> count(n, 0);
+  for (const Met& m : met_) {
+    last[static_cast<std::size_t>(m.peer)] = m.last;
+    count[static_cast<std::size_t>(m.peer)] = m.count;
+  }
+  for (std::size_t u = 0; u < n; ++u) out.f64(last[u]);
+  for (std::size_t u = 0; u < n; ++u) out.i64(count[u]);
   for (std::size_t u = 0; u < n; ++u) {
     const RowPtr& v = rows_[u];
     if (v == nullptr) {
@@ -257,8 +264,13 @@ void MeetingMatrix::load(BinReader& in) {
   generation_ = in.u64();
   const auto n = static_cast<std::size_t>(num_nodes_);
   for (std::size_t u = 0; u < n; ++u) stamps_[u] = in.f64();
-  for (std::size_t u = 0; u < n; ++u) last_met_[u] = in.f64();
-  for (std::size_t u = 0; u < n; ++u) meet_count_[u] = static_cast<int>(in.i64());
+  std::vector<Time> last(n);
+  for (Time& t : last) t = in.f64();
+  met_.clear();
+  for (std::size_t u = 0; u < n; ++u) {
+    const auto count = static_cast<int>(in.i64());
+    if (count != 0) met_.push_back(Met{static_cast<NodeId>(u), count, last[u]});
+  }
   for (std::size_t u = 0; u < n; ++u) {
     if (in.u8() == 0) {
       rows_[u] = nullptr;
@@ -278,6 +290,24 @@ void MeetingMatrix::load(BinReader& in) {
     in.register_interned(id, version);
     rows_[u] = std::move(version);
   }
+  own_hops_ = HopRow{};
+  other_hops_ = HopRow{};
+}
+
+std::size_t MeetingMatrix::bytes() const {
+  double total = static_cast<double>(rows_.capacity() * sizeof(RowPtr) +
+                                     stamps_.capacity() * sizeof(Time) +
+                                     met_.capacity() * sizeof(Met) +
+                                     (own_hops_.dist.capacity() + other_hops_.dist.capacity()) *
+                                         sizeof(Time));
+  for (const RowPtr& v : rows_) {
+    if (v == nullptr) continue;
+    // make_shared puts the control block and the version in one allocation.
+    const std::size_t version_bytes =
+        sizeof(RowVersion) + 2 * sizeof(void*) + v->finite.capacity() * sizeof(v->finite[0]);
+    total += static_cast<double>(version_bytes) / static_cast<double>(v.use_count());
+  }
+  return static_cast<std::size_t>(total);
 }
 
 }  // namespace rapid

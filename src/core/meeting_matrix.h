@@ -23,7 +23,11 @@
 // computed per *source* on demand (O(h·n·k) single-source relaxation over k
 // finite entries per row) and memoized until the matrix changes; every
 // mutation bumps a generation counter that the utility cache
-// (core/utility_cache.h) keys its delay estimates on.
+// (core/utility_cache.h) keys its delay estimates on. The owner's meeting
+// history is one peer-sorted list beside its own row, and the h-hop memo
+// holds at most two sources (the owner and the last other source asked
+// about), so per-matrix state beyond the n row slots and stamps grows with
+// the peers met, not with the fleet.
 #pragma once
 
 #include <cstdint>
@@ -99,9 +103,8 @@ class MeetingMatrix {
     const RowPtr& v = rows_[static_cast<std::size_t>(node)];
     return v == nullptr ? 0 : static_cast<int>(v->finite.size());
   }
-  // Number of peers the owner has met: an own-row entry is finite exactly
-  // when its meeting count is > 0.
-  int peers_met() const { return finite_count(owner_); }
+  // Number of peers the owner has met (the own row's finite entries).
+  int peers_met() const { return static_cast<int>(met_.size()); }
 
   // Bumped on every accepted mutation (observe_meeting, accepted merge_row);
   // the utility cache keys meeting-time-dependent estimates on this.
@@ -110,12 +113,18 @@ class MeetingMatrix {
   // Snapshot/restore. Shared RowVersions are serialized once through the
   // writer's interning table and re-shared on load, so the gossip sharing
   // graph (and therefore the clone-vs-edit-in-place decisions of
-  // observe_meeting) replays exactly. Rows are written dense, n values with
-  // infinity in the gaps (snapshot format v2), and read back into the same
-  // column-sorted lists; the h-hop memo restores cold — it refills from
-  // identical inputs.
+  // observe_meeting) replays exactly. Rows and the meeting history are
+  // written dense, n values with infinity (rows) or zero (history) in the
+  // gaps (snapshot format v2), and read back into the same sorted lists; the
+  // h-hop memo restores cold — it refills from identical inputs.
   void save(BinWriter& out) const;
   void load(BinReader& in);
+
+  // Heap bytes held by this matrix: the row slots and stamps, the meeting
+  // history, the h-hop memo and this matrix's share of every row version it
+  // holds (a version's bytes divided by its holder count, so summing bytes()
+  // over a fleet counts each shared version once).
+  std::size_t bytes() const;
 
  private:
   NodeId owner_;
@@ -125,18 +134,28 @@ class MeetingMatrix {
   // Null = nothing learnt about u yet (treated as all-infinity).
   std::vector<RowPtr> rows_;
   std::vector<Time> stamps_;
-  std::vector<Time> last_met_;   // owner's last direct meeting time per peer
-  std::vector<int> meet_count_;  // owner's direct meeting counts
+  // The owner's direct meetings, one entry per peer met, sorted by peer: the
+  // same columns as the own row's finite entries.
+  struct Met {
+    NodeId peer = kNoNode;
+    int count = 0;   // direct meetings so far
+    Time last = 0;   // time of the last one
+  };
+  std::vector<Met> met_;
   std::uint64_t generation_ = 0;
 
-  // Memoized single-source h-hop distances, recomputed lazily per source
-  // when the generation they were computed at goes stale. Direct-indexed by
-  // source (an empty dist = never queried).
+  // Memoized single-source h-hop distances, recomputed lazily when the
+  // generation they were computed at goes stale (an empty dist = never
+  // queried). Bounded to two sources: the owner, which every RAPID estimate
+  // reads, and one other — only the non-RAPID-peer fallback asks about
+  // another source, and it asks about the same peer for a whole plan build.
   struct HopRow {
+    NodeId source = kNoNode;
     std::uint64_t generation = 0;
     std::vector<Time> dist;
   };
-  mutable std::vector<HopRow> hop_rows_;
+  mutable HopRow own_hops_;
+  mutable HopRow other_hops_;
 
   // A recompute is a frontier-driven relaxation over flat arrays (see
   // hop_row() in the .cpp): per round it scans only the rows whose distance

@@ -89,6 +89,15 @@ Bytes MetadataStore::record_bytes(const PacketMetadata& meta) {
          kReplicaEntryBytes * static_cast<Bytes>(meta.replicas.size());
 }
 
+std::size_t MetadataStore::bytes() const {
+  std::size_t total = records_.capacity() * sizeof(PacketMetadata) +
+                      occupied_.capacity() * sizeof(PacketId) +
+                      pos_.capacity() * sizeof(std::int32_t);
+  for (const PacketMetadata& record : records_)
+    total += record.replicas.capacity() * sizeof(ReplicaEstimate);
+  return total;
+}
+
 void MetadataStore::save(BinWriter& out) const {
   out.tag("META");
   out.u64(next_generation_);

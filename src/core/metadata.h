@@ -103,6 +103,10 @@ class MetadataStore {
   // Wire size of one record.
   static Bytes record_bytes(const PacketMetadata& meta);
 
+  // Heap bytes held: the packed records with their replica lists, the
+  // occupied-id list and the id index.
+  std::size_t bytes() const;
+
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for (std::size_t i = 0; i < occupied_.size(); ++i) fn(occupied_[i], records_[i]);

@@ -6,7 +6,6 @@
 #include "core/delay_estimator.h"
 #include "obs/obs.h"
 #include "util/binio.h"
-#include "util/slab.h"
 
 namespace rapid {
 
@@ -16,14 +15,26 @@ RapidRouter::RapidRouter(NodeId self, Bytes buffer_capacity, const SimContext* c
       config_(config),
       matrix_(self, ctx->num_nodes, config.max_hops),
       global_(std::move(global)),
-      last_sync_(static_cast<std::size_t>(ctx->num_nodes), -kTimeInfinity),
-      per_peer_opportunity_(static_cast<std::size_t>(ctx->num_nodes)),
+      peer_slot_(static_cast<std::size_t>(ctx->num_nodes), -1),
       cache_(ctx->num_nodes) {
   if (config_.control == ControlChannelMode::kGlobalOracle && global_ == nullptr)
     throw std::invalid_argument("RapidRouter: global-oracle mode needs a GlobalChannel");
   // The workload pool is fully generated before the simulation starts, so
   // the per-packet slabs can be sized once instead of growing in churn.
   if (ctx->pool != nullptr) meta_.reserve_packets(ctx->pool->size());
+}
+
+RapidRouter::PeerState& RapidRouter::peer_state(NodeId peer) {
+  std::int32_t& slot = peer_slot_[static_cast<std::size_t>(peer)];
+  if (slot < 0) {
+    slot = static_cast<std::int32_t>(peers_.size());
+    peers_.emplace_back();
+  }
+  return peers_[static_cast<std::size_t>(slot)];
+}
+
+std::size_t RapidRouter::peer_state_bytes() const {
+  return peers_.capacity() * sizeof(PeerState) + peer_slot_.capacity() * sizeof(std::int32_t);
 }
 
 // --- queue maintenance -------------------------------------------------------
@@ -46,9 +57,8 @@ double RapidRouter::effective_meeting_time(NodeId node) const {
 }
 
 Bytes RapidRouter::expected_opportunity(NodeId peer) const {
-  const auto idx = static_cast<std::size_t>(peer);
-  if (idx < per_peer_opportunity_.size() && !per_peer_opportunity_[idx].empty())
-    return std::max<Bytes>(1, static_cast<Bytes>(per_peer_opportunity_[idx].value()));
+  if (const PeerState* s = find_peer(peer); s != nullptr && !s->opportunity.empty())
+    return std::max<Bytes>(1, static_cast<Bytes>(s->opportunity.value()));
   if (!avg_opportunity_.empty())
     return std::max<Bytes>(1, static_cast<Bytes>(avg_opportunity_.value()));
   return config_.prior_opportunity_bytes;
@@ -232,7 +242,7 @@ void RapidRouter::observe_opportunity(Bytes capacity, NodeId peer, Time now) {
   // folding zeros into B would wildly inflate the meeting counts of Alg. 2.
   if (capacity <= 0) return;
   avg_opportunity_.add(static_cast<double>(capacity));
-  grow_slot(per_peer_opportunity_, peer).add(static_cast<double>(capacity));
+  peer_state(peer).opportunity.add(static_cast<double>(capacity));
 }
 
 void RapidRouter::broadcast_own_row(Time /*now*/) {
@@ -263,7 +273,7 @@ Bytes RapidRouter::exchange_metadata(RapidRouter& peer, Time now, Bytes budget) 
   Bytes used = 0;
   const auto fits = [&](Bytes cost) { return used + cost <= budget; };
   const auto finish = [&]() -> Bytes {
-    last_sync_[static_cast<std::size_t>(peer.self())] = now;
+    peer_state(peer.self()).last_sync = now;
     return used;
   };
 
@@ -284,7 +294,7 @@ Bytes RapidRouter::exchange_metadata(RapidRouter& peer, Time now, Bytes budget) 
   // peer (own observations and relayed rows alike). The wire size reads the
   // matrix's incrementally maintained finite-entry count instead of
   // re-scanning the row.
-  const Time since = last_sync_[static_cast<std::size_t>(peer.self())];
+  const Time since = last_sync(peer.self());
   for (NodeId u = 0; u < matrix_.num_nodes(); ++u) {
     if (u == peer.self()) continue;
     const Time stamp = matrix_.row_stamp(u);
@@ -507,6 +517,10 @@ void RapidRouter::flush_obs(obs::ObsContext& out) const {
   out.metrics.add(obs::Counter::kUtilityRateRecomputes, s.rate_recomputes);
   out.metrics.add(obs::Counter::kUtilityForgets, s.forgets);
   out.metrics.gauge_max(obs::Gauge::kUtilityTrackedPackets, cache_.tracked_packets());
+  out.metrics.add(obs::Counter::kMemMatrixBytes, matrix_.bytes());
+  out.metrics.add(obs::Counter::kMemMetadataBytes, meta_.bytes());
+  out.metrics.add(obs::Counter::kMemPeerStateBytes, peer_state_bytes());
+  out.metrics.add(obs::Counter::kMemUtilityCacheBytes, cache_.bytes());
 }
 
 PacketId RapidRouter::choose_drop_victim(const Packet& incoming, Time now) {
@@ -558,10 +572,17 @@ void RapidRouter::save_state(BinWriter& out) {
   out.tag("RAPD");
   matrix_.save(out);
   meta_.save(out);
-  for (Time t : last_sync_) out.f64(t);
+  // The peer table goes out dense (snapshot format v2): every node's sync
+  // stamp, then every node's opportunity average, defaults for peers
+  // without an entry.
+  const auto num_peers = static_cast<NodeId>(peer_slot_.size());
+  for (NodeId u = 0; u < num_peers; ++u) out.f64(last_sync(u));
   out.f64(avg_opportunity_.value());
   out.u64(avg_opportunity_.count());
-  for (const MovingAverage& m : per_peer_opportunity_) {
+  const MovingAverage none;
+  for (NodeId u = 0; u < num_peers; ++u) {
+    const PeerState* s = find_peer(u);
+    const MovingAverage& m = s != nullptr ? s->opportunity : none;
     out.f64(m.value());
     out.u64(m.count());
   }
@@ -579,14 +600,23 @@ void RapidRouter::load_state(BinReader& in) {
   in.expect_tag("RAPD");
   matrix_.load(in);
   meta_.load(in);
-  for (Time& t : last_sync_) t = in.f64();
+  // Entries are rebuilt only for peers whose dense values differ from the
+  // defaults, which is exactly the set that had one.
+  peers_.clear();
+  std::fill(peer_slot_.begin(), peer_slot_.end(), -1);
+  const auto num_peers = static_cast<NodeId>(peer_slot_.size());
+  for (NodeId u = 0; u < num_peers; ++u) {
+    const Time t = in.f64();
+    if (t != -kTimeInfinity) peer_state(u).last_sync = t;
+  }
   {
     const double value = in.f64();
     avg_opportunity_.restore(value, in.u64());
   }
-  for (MovingAverage& m : per_peer_opportunity_) {
+  for (NodeId u = 0; u < num_peers; ++u) {
     const double value = in.f64();
-    m.restore(value, in.u64());
+    const std::uint64_t count = in.u64();
+    if (value != 0 || count != 0) peer_state(u).opportunity.restore(value, count);
   }
   const bool had_global = in.u8() != 0;
   if (had_global != (global_ != nullptr))

@@ -98,8 +98,13 @@ class RapidRouter : public Router {
   void contact_end(const PeerView& peer, Time now) override;
   PacketId choose_drop_victim(const Packet& incoming, Time now) override;
   // Pushes the utility-cache probe counters (hits, recomputes, forgets,
-  // tracked-packet high-water mark) into the run's registry.
+  // tracked-packet high-water mark) and the end-of-run heap bytes of the
+  // matrix, metadata ledger, utility cache and peer table into the run's
+  // registry.
   void flush_obs(obs::ObsContext& out) const override;
+  // Heap bytes of the per-peer table (sync stamps, opportunity averages and
+  // their index).
+  std::size_t peer_state_bytes() const;
 
   // The instant-global-control-channel mode reaches every other router
   // (oracle walks, shared GlobalChannel) on each event, so it cannot be
@@ -149,9 +154,26 @@ class RapidRouter : public Router {
   MeetingMatrix matrix_;
   MetadataStore meta_;
   std::shared_ptr<GlobalChannel> global_;
-  std::vector<Time> last_sync_;  // per peer; -inf = never synced
-  MovingAverage avg_opportunity_;                  // all peers
-  std::vector<MovingAverage> per_peer_opportunity_;  // flat, indexed by peer
+  MovingAverage avg_opportunity_;  // all peers
+
+  // Per-peer state, created on the first sync with a peer or the first
+  // opportunity sample for it: a packed vector behind a peer → slot index,
+  // so a router pays 4 B per fleet node plus one entry per peer it knows.
+  struct PeerState {
+    Time last_sync = -kTimeInfinity;  // -inf = never synced
+    MovingAverage opportunity;
+  };
+  std::vector<PeerState> peers_;
+  std::vector<std::int32_t> peer_slot_;  // peer -> peers_ slot, -1 = none
+  const PeerState* find_peer(NodeId peer) const {
+    const std::int32_t slot = peer_slot_[static_cast<std::size_t>(peer)];
+    return slot >= 0 ? &peers_[static_cast<std::size_t>(slot)] : nullptr;
+  }
+  PeerState& peer_state(NodeId peer);  // find-or-insert; may grow peers_
+  Time last_sync(NodeId peer) const {
+    const PeerState* s = find_peer(peer);
+    return s != nullptr ? s->last_sync : -kTimeInfinity;
+  }
 
   // Incremental utility engine: owns the flat per-destination queues
   // ((created, id, size) ascending by age rank — front is oldest, i.e.

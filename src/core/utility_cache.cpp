@@ -35,8 +35,10 @@ void reset_utility_cache_global_stats() {
 
 UtilityCache::UtilityCache(int num_nodes) {
   if (num_nodes < 0) throw std::invalid_argument("UtilityCache: negative num_nodes");
-  queues_.resize(static_cast<std::size_t>(num_nodes));
+  queue_slot_.assign(static_cast<std::size_t>(num_nodes), kEmptySlot);
 }
+
+const std::vector<UtilityCache::QueueEntry> UtilityCache::kNoEntries;
 
 UtilityCache::~UtilityCache() {
   g_delay_hits.fetch_add(stats_.delay_hits, std::memory_order_relaxed);
@@ -47,8 +49,17 @@ UtilityCache::~UtilityCache() {
 
 // --- flat destination queues --------------------------------------------------
 
+UtilityCache::DestQueue& UtilityCache::queue_for(NodeId dst) {
+  std::int32_t& slot = queue_slot_[static_cast<std::size_t>(dst)];
+  if (slot < 0) {
+    slot = static_cast<std::int32_t>(queues_.size());
+    queues_.emplace_back();
+  }
+  return queues_[static_cast<std::size_t>(slot)];
+}
+
 void UtilityCache::queue_insert(NodeId dst, const QueueEntry& e) {
-  DestQueue& q = queues_[static_cast<std::size_t>(dst)];
+  DestQueue& q = queue_for(dst);
   if (q.entries.empty())
     nonempty_.insert(std::lower_bound(nonempty_.begin(), nonempty_.end(), dst), dst);
   q.entries.insert(std::upper_bound(q.entries.begin(), q.entries.end(), e), e);
@@ -64,7 +75,9 @@ void UtilityCache::queue_insert(NodeId dst, const QueueEntry& e) {
 }
 
 void UtilityCache::queue_erase(NodeId dst, const QueueEntry& e) {
-  DestQueue& q = queues_[static_cast<std::size_t>(dst)];
+  const std::int32_t slot = queue_slot_[static_cast<std::size_t>(dst)];
+  if (slot < 0) return;
+  DestQueue& q = queues_[static_cast<std::size_t>(slot)];
   const auto pos = std::lower_bound(q.entries.begin(), q.entries.end(), e);
   if (pos == q.entries.end() || pos->id != e.id) return;
   const Bytes size = pos->size;
@@ -85,7 +98,9 @@ void UtilityCache::queue_erase(NodeId dst, const QueueEntry& e) {
 }
 
 Bytes UtilityCache::queue_bytes_before(NodeId dst, const QueueEntry& e) const {
-  const DestQueue& q = queues_[static_cast<std::size_t>(dst)];
+  const DestQueue* found = find_queue(dst);
+  if (found == nullptr) return 0;
+  const DestQueue& q = *found;
   const auto pos = std::lower_bound(q.entries.begin(), q.entries.end(), e);
   const auto idx = static_cast<std::size_t>(pos - q.entries.begin());
   if (idx == 0) return 0;
@@ -124,6 +139,18 @@ void UtilityCache::forget(PacketId id) {
     index_[static_cast<std::size_t>(entries_[i].id)] = static_cast<std::int32_t>(i);
   }
   entries_.pop_back();
+}
+
+std::size_t UtilityCache::bytes() const {
+  std::size_t total = queues_.capacity() * sizeof(DestQueue) +
+                      queue_slot_.capacity() * sizeof(std::int32_t) +
+                      nonempty_.capacity() * sizeof(NodeId) +
+                      entries_.capacity() * sizeof(Entry) +
+                      index_.capacity() * sizeof(std::int32_t);
+  for (const DestQueue& q : queues_)
+    total += q.entries.capacity() * sizeof(QueueEntry) +
+             q.size_counts.capacity() * sizeof(q.size_counts[0]);
+  return total;
 }
 
 }  // namespace rapid

@@ -11,10 +11,12 @@
 // UtilityCache makes those reads incremental:
 //
 //  * Per-destination packet queues live in flat contiguous storage (a
-//    direct-indexed table of packed, age-sorted entry vectors) instead of a
-//    node-keyed map of vectors, with per-queue *generation* counters and an
-//    incrementally maintained size histogram so the prefix-bytes term of
-//    Algorithm 2 is O(log n) for the uniform-size workloads of Table 4.
+//    packed vector of age-sorted entry vectors behind a destination → slot
+//    index, holding only destinations this node ever queued for) instead
+//    of a node-keyed map of vectors, with per-queue *generation* counters
+//    and an incrementally maintained size histogram so the prefix-bytes
+//    term of Algorithm 2 is O(log n) for the uniform-size workloads of
+//    Table 4.
 //  * Per-packet direct-delay estimates (d_j of Algorithm 2) and replica-rate
 //    sums (sum_j 1/d_j of Eqs. 7-9) are memoized in a packed entry vector
 //    reached through a direct slot-by-PacketId index, each value keyed by
@@ -131,15 +133,20 @@ class UtilityCache {
   void queue_insert(NodeId dst, const QueueEntry& e);
   // Erases the entry with e's (created, id) key; no-op if absent.
   void queue_erase(NodeId dst, const QueueEntry& e);
+  // Empty for a destination never queued for.
   const std::vector<QueueEntry>& queue(NodeId dst) const {
-    return queues_[static_cast<std::size_t>(dst)].entries;
+    const DestQueue* q = find_queue(dst);
+    return q != nullptr ? q->entries : kNoEntries;
   }
   // Bytes queued ahead of e (the b_j(i) term of Algorithm 2): the byte sum of
   // all strictly older entries. O(log n) when the queue holds one distinct
   // packet size (the maintained histogram), O(position) otherwise.
   Bytes queue_bytes_before(NodeId dst, const QueueEntry& e) const;
+  // 0 until the first insert for `dst`; counts every edit from then on
+  // (a queue's slot outlives its entries, so generations never restart).
   std::uint64_t queue_generation(NodeId dst) const {
-    return queues_[static_cast<std::size_t>(dst)].generation;
+    const DestQueue* q = find_queue(dst);
+    return q != nullptr ? q->generation : 0;
   }
   // Non-empty queues in ascending destination order (deterministic, unlike
   // the node-keyed hash map this storage replaced). fn returns false to stop
@@ -149,7 +156,7 @@ class UtilityCache {
   template <typename Fn>
   void for_each_queue(Fn&& fn) const {
     for (const NodeId dst : nonempty_)
-      if (!fn(dst, queues_[static_cast<std::size_t>(dst)].entries)) return;
+      if (!fn(dst, find_queue(dst)->entries)) return;
   }
 
   // --- memoized per-packet estimates ----------------------------------------
@@ -210,6 +217,9 @@ class UtilityCache {
 
   const UtilityCacheStats& stats() const { return stats_; }
   std::size_t tracked_packets() const { return entries_.size(); }
+  // Heap bytes held: the queues (entries and size histograms), their index
+  // and the per-packet memo.
+  std::size_t bytes() const;
 
  private:
   struct DestQueue {
@@ -249,7 +259,15 @@ class UtilityCache {
   }
   Entry& entry_for(PacketId id);  // find-or-insert; may grow entries_
 
-  std::vector<DestQueue> queues_;
+  const DestQueue* find_queue(NodeId dst) const {
+    const std::int32_t slot = queue_slot_[static_cast<std::size_t>(dst)];
+    return slot >= 0 ? &queues_[static_cast<std::size_t>(slot)] : nullptr;
+  }
+  DestQueue& queue_for(NodeId dst);  // find-or-insert; may grow queues_
+
+  static const std::vector<QueueEntry> kNoEntries;
+  std::vector<DestQueue> queues_;         // packed; one per dst ever queued
+  std::vector<std::int32_t> queue_slot_;  // dst -> queues_ slot, -1 = none
   std::vector<NodeId> nonempty_;     // dsts with entries, sorted ascending
   std::vector<Entry> entries_;       // packed; order is unspecified
   std::vector<std::int32_t> index_;  // PacketId -> entry slot, -1 = absent

@@ -22,6 +22,10 @@ const char* counter_name(Counter c) {
     case Counter::kFaultRecoveries: return "fault.recoveries";
     case Counter::kFaultTailRetries: return "fault.tail_retries";
     case Counter::kLogMessages: return "log.messages";
+    case Counter::kMemMatrixBytes: return "mem.matrix_bytes";
+    case Counter::kMemMetadataBytes: return "mem.metadata_bytes";
+    case Counter::kMemPeerStateBytes: return "mem.peer_state_bytes";
+    case Counter::kMemUtilityCacheBytes: return "mem.utility_cache_bytes";
     case Counter::kMobilityPops: return "mobility.pops";
     case Counter::kPoolSteals: return "pool.steals";
     case Counter::kPoolSubmitted: return "pool.submitted";

@@ -37,6 +37,11 @@ enum class Counter : std::uint16_t {
   kFaultRecoveries,
   kFaultTailRetries,
   kLogMessages,
+  // End-of-run heap bytes, summed over the fleet's RAPID routers.
+  kMemMatrixBytes,
+  kMemMetadataBytes,
+  kMemPeerStateBytes,
+  kMemUtilityCacheBytes,
   kMobilityPops,
   kPoolSteals,
   kPoolSubmitted,

@@ -276,6 +276,65 @@ TEST(MeetingMatrix, SaveLoadSaveIsByteIdentical) {
   EXPECT_DOUBLE_EQ(a2.direct_mean(0, 4), 15.0);  // gaps 10, 20
 }
 
+// Reference h-hop estimate straight from the learnt rows: a full Jacobi
+// sweep over every intermediate node with no memo, which is what an
+// unbounded per-source memo would have returned.
+Time reference_meeting_time(const MeetingMatrix& m, NodeId from, NodeId to, int max_hops = 3) {
+  if (from == to) return 0;
+  const auto n = static_cast<std::size_t>(m.num_nodes());
+  std::vector<Time> dist(n);
+  for (std::size_t v = 0; v < n; ++v) dist[v] = m.direct_mean(from, static_cast<NodeId>(v));
+  for (int round = 1; round < max_hops; ++round) {
+    std::vector<Time> next = dist;
+    for (std::size_t mid = 0; mid < n; ++mid) {
+      if (dist[mid] == kTimeInfinity) continue;
+      for (std::size_t v = 0; v < n; ++v) {
+        if (v == mid) continue;
+        const Time candidate =
+            dist[mid] + m.direct_mean(static_cast<NodeId>(mid), static_cast<NodeId>(v));
+        if (candidate < next[v]) next[v] = candidate;
+      }
+    }
+    dist.swap(next);
+  }
+  return dist[static_cast<std::size_t>(to)];
+}
+
+// The h-hop memo keeps the owner's source and one other. Asking about every
+// source in turn, interleaved with the owner and with the matrix changing in
+// between, must return exactly the memo-free relaxation each time, and
+// bytes() must not grow with the number of sources asked about.
+TEST(MeetingMatrix, HopMemoHoldsTwoSourcesAndStaysExact) {
+  constexpr int kNodes = 80;
+  MeetingMatrix m(0, kNodes);
+  for (NodeId u = 1; u < kNodes; ++u) {
+    std::vector<Time> row(kNodes, kTimeInfinity);
+    for (int k = 1; k <= 4; ++k) {
+      const NodeId v = (u * 7 + k * 13) % kNodes;
+      if (v != u) row[static_cast<std::size_t>(v)] = 5.0 + (u * k) % 17;
+    }
+    ASSERT_TRUE(m.merge_row(u, row, 1.0));
+  }
+  for (NodeId peer = 1; peer < 10; ++peer) m.observe_meeting(peer, 10.0 * peer);
+
+  std::size_t first_bytes = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (NodeId s = 1; s < kNodes; ++s) {
+      for (NodeId v = 0; v < kNodes; v += 3) {
+        EXPECT_EQ(m.expected_meeting_time(s, v), reference_meeting_time(m, s, v))
+            << s << "->" << v;
+        EXPECT_EQ(m.expected_meeting_time(0, v), reference_meeting_time(m, 0, v)) << v;
+      }
+      if (pass == 0 && s == 1) first_bytes = m.bytes();
+      // Re-meeting a known peer moves the own row in place: both memo slots
+      // go stale, but no structure grows.
+      if (s % 10 == 0) m.observe_meeting(1 + s % 9, 100.0 * (pass * kNodes + s));
+    }
+  }
+  EXPECT_GT(first_bytes, 0u);
+  EXPECT_EQ(m.bytes(), first_bytes);
+}
+
 TEST(MeetingMatrix, InvalidArgumentsThrow) {
   EXPECT_THROW(MeetingMatrix(5, 3), std::invalid_argument);
   EXPECT_THROW(MeetingMatrix(0, 3, 0), std::invalid_argument);

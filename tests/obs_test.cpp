@@ -393,6 +393,11 @@ TEST(ObsSimulationTest, CountersMatchSimResult) {
   // RAPID ran with the utility cache: its router-side probes must have
   // flushed through Router::flush_obs.
   EXPECT_GT(m.value("utility.delay_recomputes") + m.value("utility.delay_hits"), 0u);
+  // ... and so must its end-of-run per-structure heap bytes.
+  EXPECT_GT(m.value("mem.matrix_bytes"), 0u);
+  EXPECT_GT(m.value("mem.metadata_bytes"), 0u);
+  EXPECT_GT(m.value("mem.utility_cache_bytes"), 0u);
+  EXPECT_GT(m.value("mem.peer_state_bytes"), 0u);
 #else
   // Stripped build: the report exists but carries only zeros.
   EXPECT_EQ(m.value("sim.events.meeting"), 0u);

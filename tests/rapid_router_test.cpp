@@ -3,9 +3,13 @@
 // per-metric drop policy, and the local/global channel variants.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "baselines/direct.h"
 #include "core/rapid_router.h"
 #include "dtn/contact.h"
 #include "dtn/metrics.h"
+#include "util/binio.h"
 
 namespace rapid {
 namespace {
@@ -337,6 +341,203 @@ TEST_F(RapidRouterTest, WorkConservingUsesWholeOpportunity) {
   const auto stats = meet(0, 1, 100.0, 100_KB);
   EXPECT_EQ(router(1).buffer().count(), 10u);
   EXPECT_GT(stats.data_bytes, 0);
+}
+
+// Heap bytes a router's per-peer structures hold (matrix, ledger, utility
+// cache, peer table).
+std::size_t router_bytes(const RapidRouter& r) {
+  return r.matrix().bytes() + r.metadata().bytes() + r.utility_cache().bytes() +
+         r.peer_state_bytes();
+}
+
+// A fresh router pays for the fleet only through its dense n-wide tables
+// (the matrix's row slots and stamps, the peer and destination indexes);
+// every per-peer entry is created on first use.
+TEST(RapidRouterFootprint, FreshRouterGrowsByAtMost40BytesPerFleetNode) {
+  const auto fresh_bytes = [](int nodes) {
+    SimContext ctx;
+    ctx.num_nodes = nodes;
+    const RapidRouter r(0, -1, &ctx, RapidConfig{});
+    return router_bytes(r);
+  };
+  const std::size_t small = fresh_bytes(200);
+  const std::size_t large = fresh_bytes(2000);
+  ASSERT_GT(large, small);
+  EXPECT_LE(static_cast<double>(large - small) / 1800.0, 40.0)
+      << "200 nodes: " << small << " B, 2000 nodes: " << large << " B";
+}
+
+std::string save_routers(const std::vector<RapidRouter*>& routers) {
+  std::ostringstream bytes;
+  BinWriter writer(bytes);
+  for (RapidRouter* r : routers) r->save_state(writer);
+  return bytes.str();
+}
+
+// Per-peer state is sparse in memory and dense on the wire (snapshot v2).
+// A router that met the highest node id, synced with a peer it never got an
+// opportunity sample from (a zero-capacity contact) and sampled a peer it
+// never synced with (as a non-RAPID peer leaves it) must round-trip byte for
+// byte, and a restored fleet must continue bit-identically.
+TEST_F(RapidRouterTest, SparsePeerStateSnapshotRoundTripsAndContinues) {
+  constexpr int kNodes = 6;
+  constexpr NodeId kLast = kNodes - 1;
+  init(kNodes, in_band_config());
+  std::vector<PacketId> ids;
+  for (const NodeId dst : {1, 3, 4, 4, 5}) ids.push_back(make_packet(0, dst, 2.0 * dst));
+  ids.push_back(make_packet(1, 0, 3.0));
+  for (const PacketId id : ids) router(pool_.get(id).src).on_generate(pool_.get(id));
+
+  meet(0, kLast, 100.0, 100_KB);
+  meet(0, 2, 150.0, 0);  // syncs 0 and 2, but samples no opportunity
+  router(0).observe_opportunity(4_KB, 4, 160.0);  // a sample, but no sync
+  meet(1, 3, 120.0, 50_KB);
+  meet(3, 0, 200.0, 1_KB + 600);
+  // Node 2 is synced but has no opportunity sample: its estimate is the
+  // all-peer average, like node 1's, which node 0 never met.
+  ASSERT_EQ(router(0).expected_opportunity(2), router(0).expected_opportunity(1));
+  ASSERT_NE(router(0).expected_opportunity(kLast), router(0).expected_opportunity(1));
+  ASSERT_EQ(router(0).expected_opportunity(4), 4_KB);
+
+  std::vector<RapidRouter*> original;
+  for (NodeId n = 0; n < kNodes; ++n) original.push_back(&router(n));
+  const std::string first = save_routers(original);
+
+  MetricsCollector restored_metrics = metrics_;
+  SimContext restored_ctx = ctx_;
+  restored_ctx.metrics = &restored_metrics;
+  std::vector<std::unique_ptr<RapidRouter>> restored;
+  std::vector<RapidRouter*> restored_ptrs;
+  {
+    std::istringstream in(first);
+    BinReader reader(in);
+    for (NodeId n = 0; n < kNodes; ++n) {
+      restored.push_back(std::make_unique<RapidRouter>(n, -1, &restored_ctx, config_));
+      restored.back()->load_state(reader);
+      restored_ptrs.push_back(restored.back().get());
+    }
+  }
+  EXPECT_EQ(save_routers(restored_ptrs), first);
+
+  const std::vector<Meeting> next = {{0, 2, 300.0, 100_KB},
+                                     {2, kLast, 350.0, 100_KB},
+                                     {0, 1, 400.0, 2_KB},
+                                     {3, kLast, 450.0, 100_KB},
+                                     {kLast, 0, 500.0, 100_KB}};
+  for (const Meeting& m : next) {
+    const int index = meeting_count_;
+    const ContactStats a = meet(m.a, m.b, m.time, m.capacity);
+    const ContactStats b =
+        run_contact(*restored_ptrs[static_cast<std::size_t>(m.a)],
+                    *restored_ptrs[static_cast<std::size_t>(m.b)], m, index, contact_config_,
+                    pool_, restored_metrics);
+    EXPECT_EQ(a.metadata_bytes, b.metadata_bytes) << m.a << "-" << m.b;
+    EXPECT_EQ(a.data_bytes, b.data_bytes) << m.a << "-" << m.b;
+    EXPECT_EQ(a.transfers, b.transfers) << m.a << "-" << m.b;
+    EXPECT_EQ(a.deliveries, b.deliveries) << m.a << "-" << m.b;
+  }
+  EXPECT_EQ(save_routers(restored_ptrs), save_routers(original));
+}
+
+// A RAPID router in a mixed fleet asks its matrix about every non-RAPID peer
+// it plans a contact for. The h-hop memo keeps two sources (the owner and
+// the current peer), so meeting dozens of such peers must neither change a
+// single result nor grow the matrix beyond what n alone bounds (the
+// estimates themselves are checked against a memo-free relaxation in
+// meeting_matrix_test).
+TEST(RapidMixedFleet, HopMemoStaysBoundedAcrossManyNonRapidPeers) {
+  constexpr int kDirect = 60;
+  constexpr int kNodes = 2 + kDirect;  // nodes 0 and 1 run RAPID
+  const RapidConfig config = in_band_config();
+
+  // Runs the same contact sequence; `probe` additionally queries node 0's
+  // matrix about other sources before every contact, which churns the
+  // single non-owner memo slot without changing any input.
+  const auto run = [&](bool probe, std::size_t* matrix_bytes) {
+    PacketPool pool;
+    MetricsCollector metrics;
+    SimContext ctx;
+    RouterOracle oracle;
+    ctx.pool = &pool;
+    ctx.metrics = &metrics;
+    ctx.num_nodes = kNodes;
+    ctx.oracle = &oracle;
+    for (int i = 0; i < 40; ++i) {
+      Packet p;
+      p.src = i % 2;
+      p.dst = 2 + (i * 7) % kDirect;
+      p.size = 1_KB;
+      p.created = static_cast<Time>(i);
+      pool.add(p);
+    }
+    MeetingSchedule schedule;
+    schedule.num_nodes = kNodes;
+    schedule.duration = 100000;
+    metrics.begin(pool, schedule);
+    oracle.reset(kNodes);
+    std::vector<std::unique_ptr<Router>> routers;
+    for (NodeId n = 0; n < kNodes; ++n) {
+      if (n < 2)
+        routers.push_back(std::make_unique<RapidRouter>(n, 20_KB, &ctx, config));
+      else
+        routers.push_back(std::make_unique<DirectRouter>(n, 20_KB, &ctx));
+      oracle.set(n, routers.back().get());
+    }
+    for (PacketId id = 0; id < static_cast<PacketId>(pool.size()); ++id)
+      routers[static_cast<std::size_t>(pool.get(id).src)]->on_generate(pool.get(id));
+    const auto& rapid0 = static_cast<const RapidRouter&>(*routers[0]);
+
+    std::vector<ContactStats> log;
+    int index = 0;
+    Time now = 100;
+    for (int round = 0; round < 3; ++round) {
+      for (NodeId peer = 2; peer < kNodes; ++peer) {
+        for (const NodeId a : {0, 1}) {
+          const NodeId b = a == 0 ? peer : 2 + (peer * 13 + round) % kDirect;
+          if (probe) {
+            for (NodeId s = 1; s < kNodes; s += 7) (void)rapid0.matrix().expected_meeting_time(s, 0);
+          }
+          now += 10;
+          const Meeting m{a, b, now, (round == 1 ? 3_KB : 0)};
+          log.push_back(run_contact(*routers[static_cast<std::size_t>(a)],
+                                    *routers[static_cast<std::size_t>(b)], m, index++,
+                                    ContactConfig{}, pool, metrics));
+        }
+        now += 10;
+        run_contact(*routers[0], *routers[1], Meeting{0, 1, now, 2_KB}, index++,
+                    ContactConfig{}, pool, metrics);
+      }
+    }
+    EXPECT_GE(rapid0.matrix().peers_met(), kDirect);
+    *matrix_bytes = rapid0.matrix().bytes();
+    std::ostringstream state;
+    BinWriter writer(state);
+    for (const auto& r : routers) r->save_state(writer);
+    return std::make_pair(log, state.str());
+  };
+
+  std::size_t bytes = 0;
+  std::size_t probed_bytes = 0;
+  const auto plain = run(false, &bytes);
+  const auto probed = run(true, &probed_bytes);
+  ASSERT_EQ(plain.first.size(), probed.first.size());
+  for (std::size_t i = 0; i < plain.first.size(); ++i) {
+    EXPECT_EQ(plain.first[i].metadata_bytes, probed.first[i].metadata_bytes) << i;
+    EXPECT_EQ(plain.first[i].data_bytes, probed.first[i].data_bytes) << i;
+    EXPECT_EQ(plain.first[i].transfers, probed.first[i].transfers) << i;
+  }
+  EXPECT_EQ(plain.second, probed.second);
+
+  // Everything the matrix may hold whatever the number of sources asked
+  // about: n row slots and stamps, two n-wide hop rows, a meeting history
+  // and the fleet's two RAPID rows (its own and node 1's) of at most n
+  // entries each, doubled for vector slack. One memoized row per source
+  // would add 8n bytes per peer met — far past this.
+  const std::size_t n = kNodes;
+  const std::size_t bound = n * (sizeof(MeetingMatrix::RowPtr) + sizeof(Time)) +
+                            2 * n * sizeof(Time) + 2 * n * 16 + 2 * (2 * n * 16 + 64);
+  EXPECT_LT(bytes, bound);
+  EXPECT_LT(probed_bytes, bound);
 }
 
 }  // namespace
