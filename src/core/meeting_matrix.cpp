@@ -104,19 +104,19 @@ namespace {
 // Flat scratch for the frontier relaxation in hop_row(). One instance per
 // thread serves every matrix on that thread (the relaxation never nests),
 // so a 2000-node fleet carries one set of buffers per shard thread instead
-// of per node. `mark`/`best` are epoch-stamped: bumping `epoch` resets them
-// in O(1) between rounds.
+// of per node. `mark` is epoch-stamped: bumping `epoch` resets it in O(1)
+// between rounds.
 struct RelaxScratch {
   std::vector<NodeId> frontier;       // rows whose dist improved last round
   std::vector<NodeId> next_frontier;  // rows improving this round, discovery order
-  std::vector<Time> best;             // best candidate this round, keyed by mark
-  std::vector<std::uint32_t> mark;    // mark[v] == epoch → best[v] is live
+  std::vector<Time> heads;            // heads[f] = dist[frontier[f]] before the round
+  std::vector<std::uint32_t> mark;    // mark[v] == epoch → v is in next_frontier
   std::uint32_t epoch = 0;
 
   void ensure(std::size_t n) {
     if (mark.size() < n) {
       mark.assign(n, 0);
-      best.resize(n);
+      heads.resize(n);
       epoch = 0;
     }
   }
@@ -125,6 +125,66 @@ struct RelaxScratch {
 RelaxScratch& relax_scratch() {
   thread_local RelaxScratch scratch;
   return scratch;
+}
+
+// Prefetch distances, in frontier rows: a RowVersion object this far ahead
+// of the scan, its entry array (first two cache lines) this far ahead —
+// late enough that the object itself has arrived.
+constexpr std::size_t kObjectAhead = 8;
+constexpr std::size_t kEntriesAhead = 3;
+
+void prefetch_entries(const MeetingMatrix::RowVersion* row) {
+  const auto at = reinterpret_cast<std::uintptr_t>(row->finite.data());
+  __builtin_prefetch(reinterpret_cast<const void*>(at));
+  __builtin_prefetch(reinterpret_cast<const void*>(at + 64));
+}
+
+// One relaxation round over `frontier`: mins head + w into dist for every
+// entry of every frontier row, where heads[f] is frontier row f's distance
+// before the round. With kTrackFrontier, also appends each column whose
+// dist improved to scratch.next_frontier, in first-improvement order (a
+// column still unmarked this round holds its pre-round value, so its first
+// improvement is exactly the first candidate below that value).
+template <bool kTrackFrontier>
+void relax_round(const MeetingMatrix::RowPtr* rows, const std::vector<NodeId>& frontier,
+                 const Time* heads, Time* dist, RelaxScratch& scratch,
+                 MeetingMatrix::RelaxStats& stats) {
+  const NodeId* fr = frontier.data();
+  const std::size_t fn = frontier.size();
+  std::uint64_t scanned = 0;
+  std::uint64_t edges = 0;
+  for (std::size_t f = 0; f < fn; ++f) {
+    if (f + kObjectAhead < fn) __builtin_prefetch(rows[fr[f + kObjectAhead]].get());
+    if (f + kEntriesAhead < fn) {
+      if (const auto* ahead = rows[fr[f + kEntriesAhead]].get()) prefetch_entries(ahead);
+    }
+    const MeetingMatrix::RowVersion* row = rows[fr[f]].get();
+    if (row == nullptr) continue;
+    // Stream the packed (col, value) pairs — rows are sparse in large
+    // fleets, so this touches k entries, not n.
+    const auto* pairs = row->finite.data();
+    const std::size_t k = row->finite.size();
+    ++scanned;
+    edges += k;
+    const Time head = heads[f];
+    for (std::size_t i = 0; i < k; ++i) {
+      const auto v = static_cast<std::size_t>(pairs[i].first);
+      const Time candidate = head + pairs[i].second;
+      if constexpr (kTrackFrontier) {
+        if (candidate < dist[v]) {
+          dist[v] = candidate;
+          if (scratch.mark[v] != scratch.epoch) {
+            scratch.mark[v] = scratch.epoch;
+            scratch.next_frontier.push_back(pairs[i].first);
+          }
+        }
+      } else {
+        dist[v] = std::min(dist[v], candidate);
+      }
+    }
+  }
+  stats.rows += scanned;
+  stats.edges += edges;
 }
 
 }  // namespace
@@ -140,12 +200,20 @@ const std::vector<Time>& MeetingMatrix::hop_row(NodeId from) const {
   //
   // Frontier form of the classic Jacobi sweep: a round scans only the rows
   // whose distance improved in the previous round (any candidate through an
-  // unchanged row was already ≥ dist when it was last scanned, so the min is
-  // unaffected), collects improvements against the frozen pre-round dist
-  // into an epoch-marked flat buffer, and applies them after the scan. Path
-  // sums associate left to right exactly as in the full sweep and min is
-  // order-independent, so the resulting doubles are bit-identical — only the
-  // memory traffic changes (no per-round n-cell copy, no n-row scan).
+  // unchanged row was already >= dist when it was last scanned, so the min
+  // is unaffected). The round first snapshots those rows' distances (the
+  // heads), then mins each candidate head + w straight into dist. Reading
+  // heads from the snapshot keeps the Jacobi semantics — a row improved
+  // earlier in the same round never extends a path by one more row — and
+  // min is order-independent, so every double is bit-identical to the full
+  // n-scan sweep. Only non-final rounds mark columns, to build the next
+  // frontier; the final round is a plain min loop.
+  //
+  // The cost is memory latency, not arithmetic: frontier rows are scattered
+  // RowVersions shared across the fleet, each a slot → object → entries
+  // chain of dependent loads. The frontier is known ahead of the scan, so
+  // relax_round prefetches objects and entry arrays a few rows out.
+  ++relax_stats_.recomputes;
   const auto n = static_cast<std::size_t>(num_nodes_);
   std::vector<Time>& dist = cached.dist;
   dist.assign(n, kTimeInfinity);
@@ -163,52 +231,22 @@ const std::vector<Time>& MeetingMatrix::hop_row(NodeId from) const {
   dist[static_cast<std::size_t>(from)] = 0;
 
   for (int round = 1; round < max_hops_ && !scratch.frontier.empty(); ++round) {
+    Time* heads = scratch.heads.data();
+    for (std::size_t f = 0; f < scratch.frontier.size(); ++f)
+      heads[f] = dist[static_cast<std::size_t>(scratch.frontier[f])];
+    if (round + 1 == max_hops_) {
+      relax_round<false>(rows_.data(), scratch.frontier, heads, dist.data(), scratch,
+                         relax_stats_);
+      break;
+    }
     ++scratch.epoch;
     if (scratch.epoch == 0) {  // wrapped: stale marks could alias, reset
       std::fill(scratch.mark.begin(), scratch.mark.end(), 0);
       scratch.epoch = 1;
     }
     scratch.next_frontier.clear();
-    const NodeId* fr = scratch.frontier.data();
-    const std::size_t fn = scratch.frontier.size();
-    // RowVersions are scattered heap objects shared across the fleet, so a
-    // cold row costs a dependent-load chain (slot → object → pair data).
-    // The frontier is known ahead of time: prefetch the object a few rows
-    // out and its pair data one row out to overlap those chains.
-    constexpr std::size_t kObjAhead = 4;
-    for (std::size_t f = 0; f < fn; ++f) {
-      if (f + kObjAhead < fn)
-        __builtin_prefetch(rows_[static_cast<std::size_t>(fr[f + kObjAhead])].get());
-      if (f + 1 < fn) {
-        if (const RowVersion* ahead =
-                rows_[static_cast<std::size_t>(fr[f + 1])].get())
-          __builtin_prefetch(ahead->finite.data());
-      }
-      const NodeId mid = fr[f];
-      const Time head = dist[static_cast<std::size_t>(mid)];
-      if (head == kTimeInfinity) continue;
-      const RowVersion* mid_version = rows_[static_cast<std::size_t>(mid)].get();
-      if (mid_version == nullptr) continue;
-      // Stream the packed (col, value) pairs — rows are sparse in large
-      // fleets, so this touches k entries, not n.
-      const auto* pairs = mid_version->finite.data();
-      const std::size_t k = mid_version->finite.size();
-      for (std::size_t i = 0; i < k; ++i) {
-        const Time candidate = head + pairs[i].second;
-        const auto vi = static_cast<std::size_t>(pairs[i].first);
-        if (candidate < dist[vi]) {
-          if (scratch.mark[vi] != scratch.epoch) {
-            scratch.mark[vi] = scratch.epoch;
-            scratch.best[vi] = candidate;
-            scratch.next_frontier.push_back(pairs[i].first);
-          } else if (candidate < scratch.best[vi]) {
-            scratch.best[vi] = candidate;
-          }
-        }
-      }
-    }
-    for (const NodeId v : scratch.next_frontier)
-      dist[static_cast<std::size_t>(v)] = scratch.best[static_cast<std::size_t>(v)];
+    relax_round<true>(rows_.data(), scratch.frontier, heads, dist.data(), scratch,
+                      relax_stats_);
     scratch.frontier.swap(scratch.next_frontier);
   }
   cached.source = from;

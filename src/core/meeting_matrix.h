@@ -110,6 +110,16 @@ class MeetingMatrix {
   // the utility cache keys meeting-time-dependent estimates on this.
   std::uint64_t generation() const { return generation_; }
 
+  // Relaxation work since construction (probe counters; never snapshotted):
+  // h-hop recomputes, the rows scanned in rounds 1..h-1 and their entries.
+  // The own-row scatter that seeds each recompute is not counted.
+  struct RelaxStats {
+    std::uint64_t recomputes = 0;
+    std::uint64_t rows = 0;
+    std::uint64_t edges = 0;
+  };
+  const RelaxStats& relax_stats() const { return relax_stats_; }
+
   // Snapshot/restore. Shared RowVersions are serialized once through the
   // writer's interning table and re-shared on load, so the gossip sharing
   // graph (and therefore the clone-vs-edit-in-place decisions of
@@ -156,15 +166,17 @@ class MeetingMatrix {
   };
   mutable HopRow own_hops_;
   mutable HopRow other_hops_;
+  mutable RelaxStats relax_stats_;
 
   // A recompute is a frontier-driven relaxation over flat arrays (see
   // hop_row() in the .cpp): per round it scans only the rows whose distance
-  // improved in the previous round instead of all n rows, collects candidate
-  // improvements into a flat update list, and applies them after the scan —
-  // Jacobi semantics (same values bit for bit as the full n-scan), a fraction
-  // of the memory traffic. The scratch lives in one thread-local pool shared
-  // by every matrix on the thread, so 2000-node fleets do not carry per-node
-  // relaxation buffers.
+  // improved in the previous round instead of all n rows. It snapshots those
+  // rows' distances first and mins each candidate straight into the
+  // distance row, so paths grow by one row per round — Jacobi semantics,
+  // the same values bit for bit as the full n-scan. The scan is bound by
+  // memory latency and prefetches the frontier rows ahead of use. The
+  // scratch lives in one thread-local pool shared by every matrix on the
+  // thread, so 2000-node fleets do not carry per-node relaxation buffers.
   const std::vector<Time>& hop_row(NodeId from) const;
 };
 

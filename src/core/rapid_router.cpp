@@ -115,10 +115,12 @@ double RapidRouter::replica_rate(const Packet& p) const {
   }
 
   const bool in_buffer = buffer().contains(p.id);
-  const auto compute = [&] {
+  // `self_inputs` are p's Algorithm-2 inputs here, read only for the fresh
+  // self term of a buffered packet.
+  const auto compute = [&](const UtilityCache::DelayInputs& self_inputs) {
     double rate = 0;
     if (in_buffer) {
-      const double d = self_direct_delay(p);
+      const double d = direct_delay_at(p, self_inputs);
       if (d > 0 && d != kTimeInfinity) rate += 1.0 / d;
     }
     for (const ReplicaEstimate& est : meta_.replicas(p.id)) {
@@ -130,10 +132,12 @@ double RapidRouter::replica_rate(const Packet& p) const {
   };
   if (!config_.use_utility_cache) {
     cache_.note_eager_rate();
-    return compute();
+    return compute(in_buffer ? delay_inputs(p) : UtilityCache::DelayInputs{});
   }
+  // The cache key already holds the self term's inputs: a miss reuses them
+  // instead of deriving them a second time.
   const UtilityCache::RateInputs inputs{delay_inputs(p), meta_.generation(p.id), in_buffer};
-  return cache_.rate(p.id, inputs, compute);
+  return cache_.rate(p.id, inputs, [&] { return compute(inputs.delay); });
 }
 
 double RapidRouter::expected_total_delay_of(const Packet& p, Time now) const {
@@ -303,9 +307,10 @@ Bytes RapidRouter::exchange_metadata(RapidRouter& peer, Time now, Bytes budget) 
                        kMeetingRowEntryBytes * static_cast<Bytes>(matrix_.finite_count(u));
     if (!fits(cost)) break;
     used += cost;
+    ++rows_offered_;
     // Same-process gossip adopts the shared immutable row version: one
     // pointer assignment, no n-cell copy.
-    peer.matrix_.merge_row(u, matrix_.share_row(u));
+    if (peer.matrix_.merge_row(u, matrix_.share_row(u))) ++rows_merged_;
   }
 
   // Priorities 4 and 5: fresh estimates for our own buffered packets and
@@ -329,15 +334,22 @@ Bytes RapidRouter::exchange_metadata(RapidRouter& peer, Time now, Bytes budget) 
     // walked) and the Algorithm-2 byte prefix accumulates along the
     // age-sorted entries — the same values the per-packet O(log n) reads
     // would produce, derived once per queue instead of once per packet.
+    // The terms are read only once the queue's first record fits: for a
+    // queue the budget cannot reach, the h-hop query would force a
+    // relaxation that is thrown away and repeated at plan build.
+    const Bytes cost = kPacketRecordHeaderBytes + kReplicaEntryBytes;
+    if (!relay_fits(cost)) {
+      exhausted = true;
+      return false;  // budget spent: stop walking the remaining queues
+    }
     const Bytes opportunity = expected_opportunity(dst);
     const Time meeting = effective_meeting_time(dst);
     Bytes prefix = 0;
     for (const UtilityCache::QueueEntry& entry : q) {
       const Packet& p = ctx().packet(entry.id);
-      const Bytes cost = kPacketRecordHeaderBytes + kReplicaEntryBytes;
       if (!relay_fits(cost)) {
         exhausted = true;
-        return false;  // budget spent: stop walking the remaining queues
+        return false;
       }
       used += cost;
       const UtilityCache::DelayInputs inputs{prefix, opportunity, meeting};
@@ -521,6 +533,12 @@ void RapidRouter::flush_obs(obs::ObsContext& out) const {
   out.metrics.add(obs::Counter::kMemMetadataBytes, meta_.bytes());
   out.metrics.add(obs::Counter::kMemPeerStateBytes, peer_state_bytes());
   out.metrics.add(obs::Counter::kMemUtilityCacheBytes, cache_.bytes());
+  const MeetingMatrix::RelaxStats& relax = matrix_.relax_stats();
+  out.metrics.add(obs::Counter::kMmHopRecomputes, relax.recomputes);
+  out.metrics.add(obs::Counter::kMmRelaxRows, relax.rows);
+  out.metrics.add(obs::Counter::kMmRelaxEdges, relax.edges);
+  out.metrics.add(obs::Counter::kMmRowsOffered, rows_offered_);
+  out.metrics.add(obs::Counter::kMmRowsMerged, rows_merged_);
 }
 
 PacketId RapidRouter::choose_drop_victim(const Packet& incoming, Time now) {

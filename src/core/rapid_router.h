@@ -98,9 +98,9 @@ class RapidRouter : public Router {
   void contact_end(const PeerView& peer, Time now) override;
   PacketId choose_drop_victim(const Packet& incoming, Time now) override;
   // Pushes the utility-cache probe counters (hits, recomputes, forgets,
-  // tracked-packet high-water mark) and the end-of-run heap bytes of the
-  // matrix, metadata ledger, utility cache and peer table into the run's
-  // registry.
+  // tracked-packet high-water mark), the h-hop relaxation and row-gossip
+  // work counters and the end-of-run heap bytes of the matrix, metadata
+  // ledger, utility cache and peer table into the run's registry.
   void flush_obs(obs::ObsContext& out) const override;
   // Heap bytes of the per-peer table (sync stamps, opportunity averages and
   // their index).
@@ -192,6 +192,12 @@ class RapidRouter : public Router {
   std::vector<Candidate> replication_order_;
   std::size_t replication_cursor_ = 0;
   std::vector<Candidate> fallback_scratch_;  // reused across plan builds
+
+  // Meeting-row gossip work (exchange_metadata's priority 3): rows charged
+  // to the wire and rows the peer accepted. Probe counters, flushed by
+  // flush_obs; never snapshotted.
+  std::uint64_t rows_offered_ = 0;
+  std::uint64_t rows_merged_ = 0;
 
   void queue_insert(const Packet& p);
   void queue_erase(const Packet& p);

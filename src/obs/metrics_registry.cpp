@@ -26,6 +26,11 @@ const char* counter_name(Counter c) {
     case Counter::kMemMetadataBytes: return "mem.metadata_bytes";
     case Counter::kMemPeerStateBytes: return "mem.peer_state_bytes";
     case Counter::kMemUtilityCacheBytes: return "mem.utility_cache_bytes";
+    case Counter::kMmHopRecomputes: return "mm.hop_recomputes";
+    case Counter::kMmRelaxEdges: return "mm.relax_edges";
+    case Counter::kMmRelaxRows: return "mm.relax_rows";
+    case Counter::kMmRowsMerged: return "mm.rows_merged";
+    case Counter::kMmRowsOffered: return "mm.rows_offered";
     case Counter::kMobilityPops: return "mobility.pops";
     case Counter::kPoolSteals: return "pool.steals";
     case Counter::kPoolSubmitted: return "pool.submitted";

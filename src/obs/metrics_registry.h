@@ -42,6 +42,14 @@ enum class Counter : std::uint16_t {
   kMemMetadataBytes,
   kMemPeerStateBytes,
   kMemUtilityCacheBytes,
+  // RAPID routing work, summed over the fleet: h-hop relaxation (recomputes,
+  // rows scanned past the own row, their entries) and meeting-row gossip
+  // (rows charged to the wire, rows the peer accepted).
+  kMmHopRecomputes,
+  kMmRelaxEdges,
+  kMmRelaxRows,
+  kMmRowsMerged,
+  kMmRowsOffered,
   kMobilityPops,
   kPoolSteals,
   kPoolSubmitted,

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <random>
 #include <sstream>
+#include <vector>
 
 #include "core/meeting_matrix.h"
 #include "util/binio.h"
@@ -276,11 +278,11 @@ TEST(MeetingMatrix, SaveLoadSaveIsByteIdentical) {
   EXPECT_DOUBLE_EQ(a2.direct_mean(0, 4), 15.0);  // gaps 10, 20
 }
 
-// Reference h-hop estimate straight from the learnt rows: a full Jacobi
+// Reference h-hop estimates straight from the learnt rows: a full Jacobi
 // sweep over every intermediate node with no memo, which is what an
-// unbounded per-source memo would have returned.
-Time reference_meeting_time(const MeetingMatrix& m, NodeId from, NodeId to, int max_hops = 3) {
-  if (from == to) return 0;
+// unbounded per-source memo would have returned. reference_row gives every
+// destination at once; reference_meeting_time picks one.
+std::vector<Time> reference_row(const MeetingMatrix& m, NodeId from, int max_hops) {
   const auto n = static_cast<std::size_t>(m.num_nodes());
   std::vector<Time> dist(n);
   for (std::size_t v = 0; v < n; ++v) dist[v] = m.direct_mean(from, static_cast<NodeId>(v));
@@ -297,7 +299,12 @@ Time reference_meeting_time(const MeetingMatrix& m, NodeId from, NodeId to, int 
     }
     dist.swap(next);
   }
-  return dist[static_cast<std::size_t>(to)];
+  return dist;
+}
+
+Time reference_meeting_time(const MeetingMatrix& m, NodeId from, NodeId to, int max_hops = 3) {
+  if (from == to) return 0;
+  return reference_row(m, from, max_hops)[static_cast<std::size_t>(to)];
 }
 
 // The h-hop memo keeps the owner's source and one other. Asking about every
@@ -333,6 +340,81 @@ TEST(MeetingMatrix, HopMemoHoldsTwoSourcesAndStaysExact) {
   }
   EXPECT_GT(first_bytes, 0u);
   EXPECT_EQ(m.bytes(), first_bytes);
+}
+
+// Differential check of the frontier relaxation against the full Jacobi
+// reference, bit for bit: max_hops 1-5 on random sparse and dense matrices
+// up to 300 nodes. Small integer weights make equal-cost ties common;
+// fractional ones exercise rounding along long sums. Some rows list their
+// own column, some are never learnt and some nodes are isolated
+// (unreachable from everywhere). Both memo slots are exercised: the owner
+// and other sources.
+TEST(MeetingMatrix, RelaxationMatchesFullJacobiReferenceExactly) {
+  std::mt19937 rng(20071);
+  for (const int n : {12, 60, 300}) {
+    for (const bool dense : {false, true}) {
+      for (int hops = 1; hops <= 5; ++hops) {
+        MeetingMatrix m(0, n, hops);
+        std::uniform_real_distribution<double> unit(0.0, 1.0);
+        const auto weight = [&] {
+          return unit(rng) < 0.5 ? static_cast<Time>(1 + rng() % 4) : 0.1 + 9.9 * unit(rng);
+        };
+        const double density = dense ? 0.6 : 3.0 / n;
+        for (NodeId u = 1; u < n; ++u) {
+          if (u % 11 == 5) continue;  // never learnt: reads as all-infinity
+          std::vector<Time> row(static_cast<std::size_t>(n), kTimeInfinity);
+          for (NodeId v = 0; v < n; ++v) {
+            if (v % 13 == 7) continue;  // isolated: no row reaches it
+            if (unit(rng) < density) row[static_cast<std::size_t>(v)] = weight();
+          }
+          if (u % 5 == 0) row[static_cast<std::size_t>(u)] = weight();  // own column
+          ASSERT_TRUE(m.merge_row(u, row, 1.0));
+        }
+        // The owner's row comes from meetings: gaps are measured from time 0.
+        Time now = 0;
+        for (NodeId v = 1; v < n; ++v) {
+          if (v % 13 == 7 || unit(rng) >= density) continue;
+          now += weight();
+          m.observe_meeting(v, now);
+        }
+        for (const NodeId s : {NodeId{0}, NodeId{1}, static_cast<NodeId>(n / 2)}) {
+          const std::vector<Time> expected = reference_row(m, s, hops);
+          for (NodeId v = 0; v < n; ++v) {
+            const Time want = v == s ? 0 : expected[static_cast<std::size_t>(v)];
+            ASSERT_EQ(m.expected_meeting_time(s, v), want)
+                << "n=" << n << " dense=" << dense << " hops=" << hops << " " << s << "->"
+                << v;
+          }
+        }
+      }
+    }
+  }
+}
+
+// A round extends paths only from the distances its frontier rows had
+// before the round. Here row 1 improves node 2 (10 -> 2) in the same round
+// that also scans row 2; extending from the improved value would reach node
+// 3 (with max_hops 2) or node 4 (with max_hops 3) through one row too many.
+TEST(MeetingMatrix, RoundsExtendPathsFromPreRoundDistancesOnly) {
+  for (int hops = 2; hops <= 4; ++hops) {
+    MeetingMatrix m(0, 5, hops);
+    m.observe_meeting(1, 1.0);   // 0 -> 1: 1
+    m.observe_meeting(2, 10.0);  // 0 -> 2: 10
+    const Time inf = kTimeInfinity;
+    ASSERT_TRUE(m.merge_row(1, {inf, inf, 1.0, inf, inf}, 1.0));
+    ASSERT_TRUE(m.merge_row(2, {inf, inf, inf, 1.0, inf}, 1.0));
+    ASSERT_TRUE(m.merge_row(3, {inf, inf, inf, inf, 1.0}, 1.0));
+    const std::vector<Time> want[] = {
+        {0, 1, 2, 11, inf},  // max_hops 2
+        {0, 1, 2, 3, 12},    // max_hops 3
+        {0, 1, 2, 3, 4},     // max_hops 4
+    };
+    for (NodeId v = 0; v < 5; ++v) {
+      EXPECT_EQ(m.expected_meeting_time(0, v), want[hops - 2][static_cast<std::size_t>(v)])
+          << "hops=" << hops << " v=" << v;
+      EXPECT_EQ(m.expected_meeting_time(0, v), reference_meeting_time(m, 0, v, hops));
+    }
+  }
 }
 
 TEST(MeetingMatrix, InvalidArgumentsThrow) {

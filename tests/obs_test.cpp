@@ -398,6 +398,12 @@ TEST(ObsSimulationTest, CountersMatchSimResult) {
   EXPECT_GT(m.value("mem.metadata_bytes"), 0u);
   EXPECT_GT(m.value("mem.utility_cache_bytes"), 0u);
   EXPECT_GT(m.value("mem.peer_state_bytes"), 0u);
+  // ... and its relaxation and row-gossip work counters.
+  EXPECT_GT(m.value("mm.hop_recomputes"), 0u);
+  EXPECT_GT(m.value("mm.relax_rows"), 0u);
+  EXPECT_GE(m.value("mm.relax_edges"), m.value("mm.relax_rows"));
+  EXPECT_GT(m.value("mm.rows_merged"), 0u);
+  EXPECT_GE(m.value("mm.rows_offered"), m.value("mm.rows_merged"));
 #else
   // Stripped build: the report exists but carries only zeros.
   EXPECT_EQ(m.value("sim.events.meeting"), 0u);
