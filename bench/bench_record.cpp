@@ -11,8 +11,7 @@
 //
 //   wall_clock_ms — best-of-N wall time of the probe's headline run
 //   cpu_ms        — best-of-N process CPU time of the headline run
-//                   (CLOCK_PROCESS_CPUTIME_ID); steadier than wall clock on
-//                   a shared host, so the observability gate compares it
+//                   (CLOCK_PROCESS_CPUTIME_ID), report only
 //   peak_rss_kb   — getrusage(RUSAGE_SELF).ru_maxrss after all runs. It is
 //                   process-wide, so each process runs exactly one probe.
 //   allocations   — best-of-N operator-new count during the headline run,
@@ -36,8 +35,8 @@
 //         holds no per-meeting state.
 //   pr6   powerlaw-large, RAPID, load 0.25, profiling and tracing off: the
 //         always-on cost of the compiled-in observability probes. CI builds
-//         it with RAPID_OBS=ON and OFF (`obs_enabled`) and gates the
-//         `cpu_ms` ratio at 3%. --profile fills `phases` from one extra profiled run,
+//         it with RAPID_OBS=ON and OFF (`obs_enabled`) and gates the wall
+//         ratio at 3%. --profile fills `phases` from one extra profiled run,
 //         kept apart so its clock reads never touch the measured region.
 //   pr7   one ServiceEngine serve cycle on a synthetic 30-node,
 //         20000-contact stream: ingest and advance to the midpoint, a query

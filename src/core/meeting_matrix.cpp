@@ -139,18 +139,19 @@ void prefetch_entries(const MeetingMatrix::RowVersion* row) {
   __builtin_prefetch(reinterpret_cast<const void*>(at + 64));
 }
 
-// One relaxation round over `frontier`: mins head + w into dist for every
-// entry of every frontier row, where heads[f] is frontier row f's distance
-// before the round. With kTrackFrontier, also appends each column whose
-// dist improved to scratch.next_frontier, in first-improvement order (a
-// column still unmarked this round holds its pre-round value, so its first
-// improvement is exactly the first candidate below that value).
+// One relaxation round over scratch.frontier. It first snapshots each
+// frontier row's distance (its head), then mins head + w into dist for every
+// entry of every frontier row. With kTrackFrontier, it also appends each
+// column whose dist improved to scratch.next_frontier, in first-improvement
+// order (a column still unmarked this round holds its pre-round value, so
+// its first improvement is exactly the first candidate below that value).
 template <bool kTrackFrontier>
-void relax_round(const MeetingMatrix::RowPtr* rows, const std::vector<NodeId>& frontier,
-                 const Time* heads, Time* dist, RelaxScratch& scratch,
+void relax_round(const MeetingMatrix::RowPtr* rows, Time* dist, RelaxScratch& scratch,
                  MeetingMatrix::RelaxStats& stats) {
-  const NodeId* fr = frontier.data();
-  const std::size_t fn = frontier.size();
+  const NodeId* fr = scratch.frontier.data();
+  const std::size_t fn = scratch.frontier.size();
+  Time* heads = scratch.heads.data();
+  for (std::size_t f = 0; f < fn; ++f) heads[f] = dist[static_cast<std::size_t>(fr[f])];
   std::uint64_t scanned = 0;
   std::uint64_t edges = 0;
   for (std::size_t f = 0; f < fn; ++f) {
@@ -231,12 +232,8 @@ const std::vector<Time>& MeetingMatrix::hop_row(NodeId from) const {
   dist[static_cast<std::size_t>(from)] = 0;
 
   for (int round = 1; round < max_hops_ && !scratch.frontier.empty(); ++round) {
-    Time* heads = scratch.heads.data();
-    for (std::size_t f = 0; f < scratch.frontier.size(); ++f)
-      heads[f] = dist[static_cast<std::size_t>(scratch.frontier[f])];
-    if (round + 1 == max_hops_) {
-      relax_round<false>(rows_.data(), scratch.frontier, heads, dist.data(), scratch,
-                         relax_stats_);
+    if (round + 1 == max_hops_) {  // final round: no next frontier to build
+      relax_round<false>(rows_.data(), dist.data(), scratch, relax_stats_);
       break;
     }
     ++scratch.epoch;
@@ -245,8 +242,7 @@ const std::vector<Time>& MeetingMatrix::hop_row(NodeId from) const {
       scratch.epoch = 1;
     }
     scratch.next_frontier.clear();
-    relax_round<true>(rows_.data(), scratch.frontier, heads, dist.data(), scratch,
-                      relax_stats_);
+    relax_round<true>(rows_.data(), dist.data(), scratch, relax_stats_);
     scratch.frontier.swap(scratch.next_frontier);
   }
   cached.source = from;
