@@ -64,24 +64,27 @@ Bytes RapidRouter::expected_opportunity(NodeId peer) const {
   return config_.prior_opportunity_bytes;
 }
 
-UtilityCache::DelayInputs RapidRouter::delay_inputs(const Packet& p) const {
+RapidRouter::Located RapidRouter::locate(const Packet& p) const {
   // The three inputs of Algorithm 2, read back cheaply: queue prefix in
-  // O(log n) from the flat storage, opportunity average and memoized h-hop
-  // meeting time in O(1).
-  return UtilityCache::DelayInputs{
-      cache_.queue_bytes_before(p.dst, UtilityCache::QueueEntry{p.created, p.id, p.size}),
-      expected_opportunity(p.dst), effective_meeting_time(p.dst)};
+  // O(log n) from the flat storage (the same search finds p's memo slot),
+  // opportunity average and memoized h-hop meeting time in O(1).
+  const UtilityCache::Location at =
+      cache_.locate(p.dst, UtilityCache::QueueEntry{p.created, p.id, p.size});
+  return Located{UtilityCache::DelayInputs{at.bytes_ahead, expected_opportunity(p.dst),
+                                           effective_meeting_time(p.dst)},
+                 at.memo};
 }
 
 double RapidRouter::direct_delay(const Packet& p) const {
   // Algorithm 2: position the packet holds (or would take) in this node's
   // destination queue — insertion by age keeps the delivered-oldest-first
   // order, so the computation is identical whether or not p is stored here.
-  return direct_delay_at(p, delay_inputs(p));
+  const Located at = locate(p);
+  return direct_delay_at(p, at.inputs, at.memo);
 }
 
-double RapidRouter::direct_delay_at(const Packet& p,
-                                    const UtilityCache::DelayInputs& inputs) const {
+double RapidRouter::direct_delay_at(const Packet& p, const UtilityCache::DelayInputs& inputs,
+                                    UtilityCache::Memo* memo) const {
   const auto compute = [&] {
     const std::size_t n = meetings_needed(inputs.bytes_ahead, p.size, inputs.opportunity);
     return direct_delivery_delay(n, inputs.meeting_time);
@@ -90,7 +93,7 @@ double RapidRouter::direct_delay_at(const Packet& p,
     cache_.note_eager_delay();
     return compute();
   }
-  return cache_.direct_delay(p.id, inputs, compute);
+  return cache_.direct_delay(memo, inputs, compute);
 }
 
 double RapidRouter::self_direct_delay(const Packet& p) const { return direct_delay(p); }
@@ -115,12 +118,13 @@ double RapidRouter::replica_rate(const Packet& p) const {
   }
 
   const bool in_buffer = buffer().contains(p.id);
-  // `self_inputs` are p's Algorithm-2 inputs here, read only for the fresh
-  // self term of a buffered packet.
-  const auto compute = [&](const UtilityCache::DelayInputs& self_inputs) {
+  // `self_inputs`/`self_memo` are p's Algorithm-2 inputs and memo slot here,
+  // read only for the fresh self term of a buffered packet.
+  const auto compute = [&](const UtilityCache::DelayInputs& self_inputs,
+                           UtilityCache::Memo* self_memo) {
     double rate = 0;
     if (in_buffer) {
-      const double d = direct_delay_at(p, self_inputs);
+      const double d = direct_delay_at(p, self_inputs, self_memo);
       if (d > 0 && d != kTimeInfinity) rate += 1.0 / d;
     }
     for (const ReplicaEstimate& est : meta_.replicas(p.id)) {
@@ -132,12 +136,13 @@ double RapidRouter::replica_rate(const Packet& p) const {
   };
   if (!config_.use_utility_cache) {
     cache_.note_eager_rate();
-    return compute(in_buffer ? delay_inputs(p) : UtilityCache::DelayInputs{});
+    return compute(in_buffer ? locate(p).inputs : UtilityCache::DelayInputs{}, nullptr);
   }
   // The cache key already holds the self term's inputs: a miss reuses them
   // instead of deriving them a second time.
-  const UtilityCache::RateInputs inputs{delay_inputs(p), meta_.generation(p.id), in_buffer};
-  return cache_.rate(p.id, inputs, [&] { return compute(inputs.delay); });
+  const Located at = locate(p);
+  const UtilityCache::RateInputs inputs{at.inputs, meta_.generation(p.id), in_buffer};
+  return cache_.rate(at.memo, inputs, [&] { return compute(at.inputs, at.memo); });
 }
 
 double RapidRouter::expected_total_delay_of(const Packet& p, Time now) const {
@@ -210,19 +215,14 @@ void RapidRouter::on_stored(const Packet& p, NodeId /*from*/, std::int64_t /*aux
 }
 
 void RapidRouter::on_dropped(const Packet& p, Time now) {
-  queue_erase(p);
+  queue_erase(p);  // the packet's memo slot goes with its queue entry
   meta_.remove_replica(p.id, self(), now);
-  // Evict the memo too: dropped (and deadline-expired) packets may never be
-  // acked, and without this the entry table would grow with every packet the
-  // router ever evaluated. A later re-replication simply recomputes.
-  cache_.forget(p.id);
   if (global_ != nullptr) global_->remove_holder(p.id, self());
 }
 
 void RapidRouter::on_acked(const Packet& p, Time /*now*/) {
   queue_erase(p);
   meta_.forget_packet(p.id);
-  cache_.forget(p.id);  // acknowledged: never asked about again
   if (global_ != nullptr) global_->remove_holder(p.id, self());
 }
 
@@ -328,7 +328,8 @@ Bytes RapidRouter::exchange_metadata(RapidRouter& peer, Time now, Bytes budget) 
   // table iterates in ascending destination order — deterministic, unlike
   // the hash map it replaced.
   bool exhausted = false;
-  cache_.for_each_queue([&](NodeId dst, const std::vector<UtilityCache::QueueEntry>& q) {
+  cache_.for_each_queue([&](NodeId dst, const std::vector<UtilityCache::QueueEntry>& q,
+                            UtilityCache::Memo* memos) {
     // One SoA-style pass per destination queue: the opportunity and h-hop
     // meeting-time terms are hoisted (they cannot move while the queue is
     // walked) and the Algorithm-2 byte prefix accumulates along the
@@ -345,17 +346,17 @@ Bytes RapidRouter::exchange_metadata(RapidRouter& peer, Time now, Bytes budget) 
     const Bytes opportunity = expected_opportunity(dst);
     const Time meeting = effective_meeting_time(dst);
     Bytes prefix = 0;
-    for (const UtilityCache::QueueEntry& entry : q) {
-      const Packet& p = ctx().packet(entry.id);
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      const Packet& p = ctx().packet(q[i].id);
       if (!relay_fits(cost)) {
         exhausted = true;
         return false;
       }
       used += cost;
       const UtilityCache::DelayInputs inputs{prefix, opportunity, meeting};
-      peer.meta_.update_replica(p.id,
-                                ReplicaEstimate{self(), direct_delay_at(p, inputs), now});
-      prefix += entry.size;
+      peer.meta_.update_replica(
+          p.id, ReplicaEstimate{self(), direct_delay_at(p, inputs, &memos[i]), now});
+      prefix += q[i].size;
     }
     return true;
   });
@@ -522,12 +523,12 @@ void RapidRouter::contact_end(const PeerView& peer, Time now) {
 }
 
 void RapidRouter::flush_obs(obs::ObsContext& out) const {
+  Router::flush_obs(out);
   const UtilityCacheStats& s = cache_.stats();
   out.metrics.add(obs::Counter::kUtilityDelayHits, s.delay_hits);
   out.metrics.add(obs::Counter::kUtilityDelayRecomputes, s.delay_recomputes);
   out.metrics.add(obs::Counter::kUtilityRateHits, s.rate_hits);
   out.metrics.add(obs::Counter::kUtilityRateRecomputes, s.rate_recomputes);
-  out.metrics.add(obs::Counter::kUtilityForgets, s.forgets);
   out.metrics.gauge_max(obs::Gauge::kUtilityTrackedPackets, cache_.tracked_packets());
   out.metrics.add(obs::Counter::kMemMatrixBytes, matrix_.bytes());
   out.metrics.add(obs::Counter::kMemMetadataBytes, meta_.bytes());

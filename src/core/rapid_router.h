@@ -16,9 +16,10 @@
 //
 // The per-packet inference quantities — the direct-delivery estimate d_j of
 // Algorithm 2 and the replica-rate sum feeding Eqs. 1-3 — are served through
-// an incremental utility engine (core/utility_cache.h): values are memoized
-// keyed by the generations of the inputs that produced them (destination
-// queue, opportunity averages, meeting matrix, per-packet metadata record),
+// an incremental utility engine (core/utility_cache.h): the values of the
+// packets this node holds are memoized keyed by the inputs that produced
+// them (queue prefix, opportunity average, meeting time, per-packet
+// metadata generation),
 // so a contact re-evaluates only what actually changed instead of walking
 // every queue, replica set and matrix row from scratch. RapidConfig::
 // use_utility_cache disables the memoization (every evaluation recomputes);
@@ -97,10 +98,10 @@ class RapidRouter : public Router {
                            Time now) override;
   void contact_end(const PeerView& peer, Time now) override;
   PacketId choose_drop_victim(const Packet& incoming, Time now) override;
-  // Pushes the utility-cache probe counters (hits, recomputes, forgets,
-  // tracked-packet high-water mark), the h-hop relaxation and row-gossip
-  // work counters and the end-of-run heap bytes of the matrix, metadata
-  // ledger, utility cache and peer table into the run's registry.
+  // Pushes the base router's counters, the utility-cache probe counters
+  // (hits, recomputes, memo-slot high-water mark), the h-hop relaxation and
+  // row-gossip work counters and the end-of-run heap bytes of the matrix,
+  // metadata ledger, utility cache and peer table into the run's registry.
   void flush_obs(obs::ObsContext& out) const override;
   // Heap bytes of the per-peer table (sync stamps, opportunity averages and
   // their index).
@@ -177,9 +178,9 @@ class RapidRouter : public Router {
 
   // Incremental utility engine: owns the flat per-destination queues
   // ((created, id, size) ascending by age rank — front is oldest, i.e.
-  // delivered first, §4.1) and the generation-keyed memo of per-packet
-  // delay/rate estimates. Mutable because cache fills happen inside const
-  // inference queries.
+  // delivered first, §4.1) and, beside each queued packet, the input-keyed
+  // memo of its delay/rate estimates. Mutable because cache fills happen
+  // inside const inference queries.
   mutable UtilityCache cache_;
 
   // Per-contact cached orderings (the candidate set is stable within a
@@ -203,14 +204,21 @@ class RapidRouter : public Router {
   void queue_erase(const Packet& p);
 
   // Shared body of self_direct_delay / direct_delay_if_stored: Algorithm 2's
-  // d_j for the queue position p holds (or would take) here, memoized per
-  // packet when the utility cache is enabled.
+  // d_j for the queue position p holds (or would take) here, memoized in
+  // p's queue slot when the utility cache is enabled and p is queued here.
   double direct_delay(const Packet& p) const;
-  // Same estimate with the inputs already in hand — the bulk own-buffer pass
-  // hoists the per-destination terms and accumulates the byte prefix while
-  // walking a queue, instead of re-deriving all three per packet.
-  double direct_delay_at(const Packet& p, const UtilityCache::DelayInputs& inputs) const;
-  UtilityCache::DelayInputs delay_inputs(const Packet& p) const;
+  // Same estimate with the inputs and memo slot already in hand — the bulk
+  // own-buffer pass hoists the per-destination terms, accumulates the byte
+  // prefix and hands each entry its slot by index while walking a queue,
+  // instead of re-deriving all of it per packet. A null slot computes.
+  double direct_delay_at(const Packet& p, const UtilityCache::DelayInputs& inputs,
+                         UtilityCache::Memo* memo) const;
+  // p's Algorithm-2 inputs here and its memo slot (null when not queued).
+  struct Located {
+    UtilityCache::DelayInputs inputs;
+    UtilityCache::Memo* memo = nullptr;
+  };
+  Located locate(const Packet& p) const;
 
   Bytes exchange_metadata(RapidRouter& peer, Time now, Bytes budget);
   void build_contact_plan(const ContactContext& contact, const PeerView& peer);

@@ -4,8 +4,6 @@
 #include <atomic>
 #include <stdexcept>
 
-#include "util/slab.h"
-
 namespace rapid {
 
 namespace {
@@ -62,7 +60,10 @@ void UtilityCache::queue_insert(NodeId dst, const QueueEntry& e) {
   DestQueue& q = queue_for(dst);
   if (q.entries.empty())
     nonempty_.insert(std::lower_bound(nonempty_.begin(), nonempty_.end(), dst), dst);
-  q.entries.insert(std::upper_bound(q.entries.begin(), q.entries.end(), e), e);
+  const auto pos = std::upper_bound(q.entries.begin(), q.entries.end(), e);
+  q.memos.insert(q.memos.begin() + (pos - q.entries.begin()), Memo{});
+  q.entries.insert(pos, e);
+  queued_peak_ = std::max(queued_peak_, ++queued_);
   q.total_bytes += e.size;
   ++q.generation;
   for (auto& [size, count] : q.size_counts) {
@@ -81,7 +82,9 @@ void UtilityCache::queue_erase(NodeId dst, const QueueEntry& e) {
   const auto pos = std::lower_bound(q.entries.begin(), q.entries.end(), e);
   if (pos == q.entries.end() || pos->id != e.id) return;
   const Bytes size = pos->size;
+  q.memos.erase(q.memos.begin() + (pos - q.entries.begin()));
   q.entries.erase(pos);
+  --queued_;
   if (q.entries.empty())
     nonempty_.erase(std::lower_bound(nonempty_.begin(), nonempty_.end(), dst));
   q.total_bytes -= size;
@@ -97,58 +100,33 @@ void UtilityCache::queue_erase(NodeId dst, const QueueEntry& e) {
   }
 }
 
-Bytes UtilityCache::queue_bytes_before(NodeId dst, const QueueEntry& e) const {
-  const DestQueue* found = find_queue(dst);
-  if (found == nullptr) return 0;
-  const DestQueue& q = *found;
+UtilityCache::Location UtilityCache::locate(NodeId dst, const QueueEntry& e) {
+  const std::int32_t slot = queue_slot_[static_cast<std::size_t>(dst)];
+  if (slot < 0) return {};
+  DestQueue& q = queues_[static_cast<std::size_t>(slot)];
   const auto pos = std::lower_bound(q.entries.begin(), q.entries.end(), e);
   const auto idx = static_cast<std::size_t>(pos - q.entries.begin());
-  if (idx == 0) return 0;
-  // Uniform-size fast path (Table 4 workloads): prefix = position * size.
-  if (q.size_counts.size() == 1) return static_cast<Bytes>(idx) * q.size_counts[0].first;
-  // Hypothetical entry sorting past the tail: the whole queue is ahead.
-  if (idx == q.entries.size()) return q.total_bytes;
-  Bytes total = 0;
-  for (std::size_t i = 0; i < idx; ++i) total += q.entries[i].size;
-  return total;
-}
-
-// --- direct packet index ------------------------------------------------------
-
-UtilityCache::Entry& UtilityCache::entry_for(PacketId id) {
-  if (id < 0) throw std::invalid_argument("UtilityCache: negative packet id");
-  std::int32_t& slot = grow_slot(index_, id, kEmptySlot);
-  if (slot >= 0) return entries_[static_cast<std::size_t>(slot)];
-  entries_.emplace_back();
-  entries_.back().id = id;
-  slot = static_cast<std::int32_t>(entries_.size() - 1);
-  return entries_.back();
-}
-
-void UtilityCache::forget(PacketId id) {
-  if (id < 0 || static_cast<std::size_t>(id) >= index_.size()) return;
-  const std::int32_t slot = index_[static_cast<std::size_t>(id)];
-  if (slot < 0) return;
-  ++stats_.forgets;
-  index_[static_cast<std::size_t>(id)] = kEmptySlot;
-  // Swap-remove from the packed vector and repoint the moved entry's slot.
-  const auto i = static_cast<std::size_t>(slot);
-  const std::size_t last = entries_.size() - 1;
-  if (i != last) {
-    entries_[i] = entries_[last];
-    index_[static_cast<std::size_t>(entries_[i].id)] = static_cast<std::int32_t>(i);
+  Location loc;
+  if (pos != q.entries.end() && pos->id == e.id) loc.memo = &q.memos[idx];
+  if (idx == 0) return loc;
+  if (q.size_counts.size() == 1) {
+    // Uniform-size fast path (Table 4 workloads): prefix = position * size.
+    loc.bytes_ahead = static_cast<Bytes>(idx) * q.size_counts[0].first;
+  } else if (idx == q.entries.size()) {
+    // Hypothetical entry sorting past the tail: the whole queue is ahead.
+    loc.bytes_ahead = q.total_bytes;
+  } else {
+    for (std::size_t i = 0; i < idx; ++i) loc.bytes_ahead += q.entries[i].size;
   }
-  entries_.pop_back();
+  return loc;
 }
 
 std::size_t UtilityCache::bytes() const {
   std::size_t total = queues_.capacity() * sizeof(DestQueue) +
                       queue_slot_.capacity() * sizeof(std::int32_t) +
-                      nonempty_.capacity() * sizeof(NodeId) +
-                      entries_.capacity() * sizeof(Entry) +
-                      index_.capacity() * sizeof(std::int32_t);
+                      nonempty_.capacity() * sizeof(NodeId);
   for (const DestQueue& q : queues_)
-    total += q.entries.capacity() * sizeof(QueueEntry) +
+    total += q.entries.capacity() * sizeof(QueueEntry) + q.memos.capacity() * sizeof(Memo) +
              q.size_counts.capacity() * sizeof(q.size_counts[0]);
   return total;
 }

@@ -18,12 +18,17 @@
 //    term of Algorithm 2 is O(log n) for the uniform-size workloads of
 //    Table 4.
 //  * Per-packet direct-delay estimates (d_j of Algorithm 2) and replica-rate
-//    sums (sum_j 1/d_j of Eqs. 7-9) are memoized in a packed entry vector
-//    reached through a direct slot-by-PacketId index, each value keyed by
-//    the inputs that produced it: the queue-prefix bytes, opportunity
-//    average and meeting-time estimate by value (cheap to read back), the
-//    per-packet metadata record by generation (MetadataStore::generation),
-//    plus buffer membership.
+//    sums (sum_j 1/d_j of Eqs. 7-9) are memoized in a Memo vector parallel
+//    to each queue's entries, so a memo slot lives exactly as long as its
+//    packet is queued here and per-packet state is sized by the buffer, not
+//    by the packet pool. One binary search (locate) finds both the packet's
+//    queue prefix and its slot. Each value is keyed by the inputs that
+//    produced it: the queue-prefix bytes, opportunity average and
+//    meeting-time estimate by value (cheap to read back), the per-packet
+//    metadata record by generation (MetadataStore::generation), plus buffer
+//    membership. Packets that are not queued here (a candidate a peer
+//    evaluates, an incoming packet, a service query) have no slot and are
+//    computed on every call; each is one division and one multiply.
 //
 // Invalidation is dirty-tracking by construction: a metadata update, a
 // replica change, a queue edit or a meeting-time move makes exactly the
@@ -56,7 +61,6 @@ struct UtilityCacheStats {
   std::uint64_t delay_recomputes = 0;
   std::uint64_t rate_hits = 0;
   std::uint64_t rate_recomputes = 0;
-  std::uint64_t forgets = 0;  // entries dropped via forget() (acked packets)
 
   std::uint64_t recomputes() const { return delay_recomputes + rate_recomputes; }
   std::uint64_t lookups() const {
@@ -122,122 +126,12 @@ class UtilityCache {
     }
   };
 
-  explicit UtilityCache(int num_nodes);
-  ~UtilityCache();  // flushes stats into the process-wide aggregate
-
-  UtilityCache(const UtilityCache&) = delete;
-  UtilityCache& operator=(const UtilityCache&) = delete;
-
-  // --- flat destination queues ----------------------------------------------
-
-  void queue_insert(NodeId dst, const QueueEntry& e);
-  // Erases the entry with e's (created, id) key; no-op if absent.
-  void queue_erase(NodeId dst, const QueueEntry& e);
-  // Empty for a destination never queued for.
-  const std::vector<QueueEntry>& queue(NodeId dst) const {
-    const DestQueue* q = find_queue(dst);
-    return q != nullptr ? q->entries : kNoEntries;
-  }
-  // Bytes queued ahead of e (the b_j(i) term of Algorithm 2): the byte sum of
-  // all strictly older entries. O(log n) when the queue holds one distinct
-  // packet size (the maintained histogram), O(position) otherwise.
-  Bytes queue_bytes_before(NodeId dst, const QueueEntry& e) const;
-  // 0 until the first insert for `dst`; counts every edit from then on
-  // (a queue's slot outlives its entries, so generations never restart).
-  std::uint64_t queue_generation(NodeId dst) const {
-    const DestQueue* q = find_queue(dst);
-    return q != nullptr ? q->generation : 0;
-  }
-  // Non-empty queues in ascending destination order (deterministic, unlike
-  // the node-keyed hash map this storage replaced). fn returns false to stop
-  // early (e.g. when a metadata budget is exhausted). Iterates the maintained
-  // non-empty index, not all n slots — a contact pays for the destinations it
-  // actually buffers, not the fleet size.
-  template <typename Fn>
-  void for_each_queue(Fn&& fn) const {
-    for (const NodeId dst : nonempty_)
-      if (!fn(dst, find_queue(dst)->entries)) return;
-  }
-
-  // --- memoized per-packet estimates ----------------------------------------
-  // compute() runs only when the entry is absent or its recorded inputs
-  // differ (the entry is dirty); its result is then stored under `inputs`.
-  // compute() may itself use the cache (a rate recompute reads the cached
-  // self delay); entry references are re-acquired after it runs because an
-  // insertion can grow the packed entry vector.
-
-  template <typename Compute>
-  double direct_delay(PacketId id, const DelayInputs& inputs, Compute&& compute) {
-    if (const Entry* e = find_entry(id);
-        e != nullptr && e->delay_valid && e->inputs == inputs) {
-      ++stats_.delay_hits;
-      return e->delay;
-    }
-    const double value = compute();
-    ++stats_.delay_recomputes;
-    Entry& e = entry_for(id);
-    // The entry shares one input key between both cached values (a cache
-    // line per packet); moving it invalidates the sibling value, which was
-    // computed under the old state.
-    if (!(e.inputs == inputs)) e.rate_valid = false;
-    e.inputs = inputs;
-    e.delay = value;
-    e.delay_valid = true;
-    return value;
-  }
-
-  template <typename Compute>
-  double rate(PacketId id, const RateInputs& inputs, Compute&& compute) {
-    if (const Entry* e = find_entry(id);
-        e != nullptr && e->rate_valid && e->inputs == inputs.delay &&
-        e->metadata_gen == inputs.metadata_gen && e->rate_in_buffer == inputs.in_buffer) {
-      ++stats_.rate_hits;
-      return e->rate;
-    }
-    const double value = compute();  // typically refreshes the delay in place
-    ++stats_.rate_recomputes;
-    Entry& e = entry_for(id);
-    if (!(e.inputs == inputs.delay)) e.delay_valid = false;
-    e.inputs = inputs.delay;
-    e.rate = value;
-    e.metadata_gen = inputs.metadata_gen;
-    e.rate_in_buffer = inputs.in_buffer;
-    e.rate_valid = true;
-    return value;
-  }
-
-  // Drop the packet's cached values entirely (it was acknowledged: the
-  // router will never ask about it again).
-  void forget(PacketId id);
-
-  // Eager-mode probes: a cache-disabled router reports every evaluation here
-  // so eager and cached runs expose comparable recompute counts.
-  void note_eager_delay() { ++stats_.delay_recomputes; }
-  void note_eager_rate() { ++stats_.rate_recomputes; }
-
-  const UtilityCacheStats& stats() const { return stats_; }
-  std::size_t tracked_packets() const { return entries_.size(); }
-  // Heap bytes held: the queues (entries and size histograms), their index
-  // and the per-packet memo.
-  std::size_t bytes() const;
-
- private:
-  struct DestQueue {
-    std::vector<QueueEntry> entries;  // sorted by (created, id)
-    std::uint64_t generation = 0;
-    // Histogram of distinct packet sizes present; one bucket in the uniform
-    // case, which enables the O(log n) prefix-bytes fast path.
-    std::vector<std::pair<Bytes, std::uint32_t>> size_counts;
-    Bytes total_bytes = 0;
-  };
-
-  // One packet's memo, sized to a cache line: both values share one input
-  // key (they are virtually always refreshed together — a rate recompute
-  // refreshes the delay it embeds), with the rate's extra key fields beside
-  // it. Moving the shared key invalidates whichever sibling value was not
-  // part of the store.
-  struct Entry {
-    PacketId id = kNoPacket;
+  // One queued packet's memo: both values share one input key (they are
+  // virtually always refreshed together — a rate recompute refreshes the
+  // delay it embeds), with the rate's extra key fields beside it. Moving the
+  // shared key invalidates whichever sibling value was not part of the
+  // store. A slot starts cold when its packet is queued.
+  struct Memo {
     double delay = 0;
     double rate = 0;
     DelayInputs inputs;
@@ -247,17 +141,124 @@ class UtilityCache {
     bool rate_in_buffer = false;
   };
 
-  // Direct index from the dense PacketId space to a slot in the packed
-  // entry vector: one flat load per lookup, no probing, no tombstones
-  // (replaced the open-addressing index this cache started with).
-  static constexpr std::int32_t kEmptySlot = -1;
+  // Where a packet stands in its destination queue: the bytes queued ahead
+  // of it (the b_j(i) term of Algorithm 2) and its memo slot, null when the
+  // packet is not queued. The slot stays valid until the next queue edit.
+  struct Location {
+    Bytes bytes_ahead = 0;
+    Memo* memo = nullptr;
+  };
 
-  const Entry* find_entry(PacketId id) const {
-    if (id < 0 || static_cast<std::size_t>(id) >= index_.size()) return nullptr;
-    const std::int32_t slot = index_[static_cast<std::size_t>(id)];
-    return slot >= 0 ? &entries_[static_cast<std::size_t>(slot)] : nullptr;
+  explicit UtilityCache(int num_nodes);
+  ~UtilityCache();  // flushes stats into the process-wide aggregate
+
+  UtilityCache(const UtilityCache&) = delete;
+  UtilityCache& operator=(const UtilityCache&) = delete;
+
+  // --- flat destination queues ----------------------------------------------
+
+  // Inserts e with a cold memo slot.
+  void queue_insert(NodeId dst, const QueueEntry& e);
+  // Erases the entry with e's (created, id) key and its memo; no-op if absent.
+  void queue_erase(NodeId dst, const QueueEntry& e);
+  // Empty for a destination never queued for.
+  const std::vector<QueueEntry>& queue(NodeId dst) const {
+    const DestQueue* q = find_queue(dst);
+    return q != nullptr ? q->entries : kNoEntries;
   }
-  Entry& entry_for(PacketId id);  // find-or-insert; may grow entries_
+  // One binary search by e's (created, id) age rank. The prefix is the byte
+  // sum of all strictly older entries: O(log n) when the queue holds one
+  // distinct packet size (the maintained histogram), O(position) otherwise.
+  // The memo slot is returned only when the entry found there is e's packet.
+  Location locate(NodeId dst, const QueueEntry& e);
+  // 0 until the first insert for `dst`; counts every edit from then on
+  // (a queue's slot outlives its entries, so generations never restart).
+  std::uint64_t queue_generation(NodeId dst) const {
+    const DestQueue* q = find_queue(dst);
+    return q != nullptr ? q->generation : 0;
+  }
+  // Non-empty queues in ascending destination order (deterministic, unlike
+  // the node-keyed hash map this storage replaced), each with its memo slots
+  // (memos[i] belongs to entries[i]). fn returns false to stop early (e.g.
+  // when a metadata budget is exhausted). Iterates the maintained non-empty
+  // index, not all n slots — a contact pays for the destinations it
+  // actually buffers, not the fleet size.
+  template <typename Fn>
+  void for_each_queue(Fn&& fn) {
+    for (const NodeId dst : nonempty_) {
+      DestQueue& q = queues_[static_cast<std::size_t>(queue_slot_[static_cast<std::size_t>(dst)])];
+      if (!fn(dst, q.entries, q.memos.data())) return;
+    }
+  }
+
+  // --- memoized per-packet estimates ----------------------------------------
+  // compute() runs only when the slot is cold or its recorded inputs differ
+  // (the slot is dirty); its result is then stored under `inputs`. A null
+  // slot (the packet is not queued) computes on every call and stores
+  // nothing. compute() may itself fill the same slot (a rate recompute
+  // refreshes the self delay); no queue edit happens inside, so the slot
+  // stays valid.
+
+  template <typename Compute>
+  double direct_delay(Memo* memo, const DelayInputs& inputs, Compute&& compute) {
+    if (memo != nullptr && memo->delay_valid && memo->inputs == inputs) {
+      ++stats_.delay_hits;
+      return memo->delay;
+    }
+    const double value = compute();
+    ++stats_.delay_recomputes;
+    if (memo == nullptr) return value;
+    if (!(memo->inputs == inputs)) memo->rate_valid = false;
+    memo->inputs = inputs;
+    memo->delay = value;
+    memo->delay_valid = true;
+    return value;
+  }
+
+  template <typename Compute>
+  double rate(Memo* memo, const RateInputs& inputs, Compute&& compute) {
+    if (memo != nullptr && memo->rate_valid && memo->inputs == inputs.delay &&
+        memo->metadata_gen == inputs.metadata_gen &&
+        memo->rate_in_buffer == inputs.in_buffer) {
+      ++stats_.rate_hits;
+      return memo->rate;
+    }
+    const double value = compute();  // typically refreshes the delay in place
+    ++stats_.rate_recomputes;
+    if (memo == nullptr) return value;
+    if (!(memo->inputs == inputs.delay)) memo->delay_valid = false;
+    memo->inputs = inputs.delay;
+    memo->rate = value;
+    memo->metadata_gen = inputs.metadata_gen;
+    memo->rate_in_buffer = inputs.in_buffer;
+    memo->rate_valid = true;
+    return value;
+  }
+
+  // Eager-mode probes: a cache-disabled router reports every evaluation here
+  // so eager and cached runs expose comparable recompute counts.
+  void note_eager_delay() { ++stats_.delay_recomputes; }
+  void note_eager_rate() { ++stats_.rate_recomputes; }
+
+  const UtilityCacheStats& stats() const { return stats_; }
+  // High-water count of memo slots held at once, i.e. of queued packets.
+  std::size_t tracked_packets() const { return queued_peak_; }
+  // Heap bytes held: the queues (entries, memo slots and size histograms)
+  // and their index.
+  std::size_t bytes() const;
+
+ private:
+  struct DestQueue {
+    std::vector<QueueEntry> entries;  // sorted by (created, id)
+    std::vector<Memo> memos;          // parallel to entries
+    std::uint64_t generation = 0;
+    // Histogram of distinct packet sizes present; one bucket in the uniform
+    // case, which enables the O(log n) prefix-bytes fast path.
+    std::vector<std::pair<Bytes, std::uint32_t>> size_counts;
+    Bytes total_bytes = 0;
+  };
+
+  static constexpr std::int32_t kEmptySlot = -1;
 
   const DestQueue* find_queue(NodeId dst) const {
     const std::int32_t slot = queue_slot_[static_cast<std::size_t>(dst)];
@@ -268,9 +269,9 @@ class UtilityCache {
   static const std::vector<QueueEntry> kNoEntries;
   std::vector<DestQueue> queues_;         // packed; one per dst ever queued
   std::vector<std::int32_t> queue_slot_;  // dst -> queues_ slot, -1 = none
-  std::vector<NodeId> nonempty_;     // dsts with entries, sorted ascending
-  std::vector<Entry> entries_;       // packed; order is unspecified
-  std::vector<std::int32_t> index_;  // PacketId -> entry slot, -1 = absent
+  std::vector<NodeId> nonempty_;  // dsts with entries, sorted ascending
+  std::size_t queued_ = 0;        // memo slots held now
+  std::size_t queued_peak_ = 0;   // ... and at most
   UtilityCacheStats stats_;
 };
 

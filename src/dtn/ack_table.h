@@ -45,6 +45,10 @@ class AckTable {
 
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
+  // Heap bytes held: the packed entries and the slot index.
+  std::size_t bytes() const {
+    return entries_.capacity() * sizeof(Entry) + slot_.capacity() * sizeof(std::int32_t);
+  }
 
   // Packed entries in insertion order; a zero-copy view, valid until the
   // next insert. Safe to iterate while inserting into a *different* table

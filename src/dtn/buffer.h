@@ -49,6 +49,10 @@ class Buffer {
   std::size_t count() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
   Bytes size_of(PacketId id) const;
+  // Heap bytes held: the packed entries and the slot index.
+  std::size_t bytes() const {
+    return entries_.capacity() * sizeof(Entry) + slot_.capacity() * sizeof(std::int32_t);
+  }
 
   // The packed entries themselves — a zero-copy view, valid until the next
   // insert/erase. Order is unspecified (insertion order perturbed by

@@ -34,14 +34,7 @@ Router::Router(NodeId self, Bytes buffer_capacity, const SimContext* ctx)
     : self_(self),
       buffer_(buffer_capacity),
       ctx_(ctx),
-      rng_(0x5eedULL + static_cast<std::uint64_t>(self) * 0x9e3779b97f4a7c15ULL) {
-  // The pool is fully generated before the simulation starts; sizing the
-  // per-packet tables once avoids growth churn on the contact path.
-  if (ctx_ != nullptr && ctx_->pool != nullptr && ctx_->pool->size() > 0) {
-    received_.resize(ctx_->pool->size(), 0);
-    skip_marks_.resize(ctx_->pool->size());
-  }
-}
+      rng_(0x5eedULL + static_cast<std::uint64_t>(self) * 0x9e3779b97f4a7c15ULL) {}
 
 ScratchArena& Router::arena() const {
   const ShardBindings* bindings = tls_shard_bindings;
@@ -98,44 +91,35 @@ void Router::contact_end(const PeerView& peer, Time /*now*/) {
   if (idx >= peer_epoch_.size()) peer_epoch_.resize(idx + 1, 0);
   peer_epoch_[idx] = ++epoch_counter_;
   invalidate_plan();
+  compact_skip_marks();
 }
 
 std::int64_t Router::transfer_aux(const Packet& /*p*/, const PeerView& /*peer*/) { return 0; }
 
 void Router::mark_skipped(PacketId id, NodeId peer) {
   const std::uint32_t epoch = peer_epoch(peer);
-  SkipMark& mark = grow_slot(skip_marks_, id);
-  // Reuse the primary lane unless another peer holds a *live* mark in it
-  // (concurrent sessions); then spill to the overflow list.
-  if (mark.peer == peer || mark.peer == kNoNode || mark.epoch != peer_epoch(mark.peer)) {
-    mark = SkipMark{epoch, peer};
-    return;
-  }
-  // Compact stale overflow entries opportunistically before growing.
-  if (skip_overflow_.size() >= 32) {
-    std::size_t live = 0;
-    for (const OverflowMark& o : skip_overflow_)
-      if (o.epoch == peer_epoch(o.peer)) skip_overflow_[live++] = o;
-    skip_overflow_.resize(live);
-  }
-  for (OverflowMark& o : skip_overflow_) {
-    if (o.id == id && o.peer == peer) {
-      o.epoch = epoch;
+  for (SkipMark& m : skip_marks_) {
+    if (m.id == id && m.peer == peer) {
+      m.epoch = epoch;
       return;
     }
   }
-  skip_overflow_.push_back(OverflowMark{epoch, peer, id});
+  // Compact stale marks (left by concurrent sessions that ended) before
+  // growing.
+  if (skip_marks_.size() >= 32) compact_skip_marks();
+  skip_marks_.push_back(SkipMark{id, peer, epoch});
+}
+
+void Router::compact_skip_marks() {
+  std::size_t live = 0;
+  for (const SkipMark& m : skip_marks_)
+    if (m.epoch == peer_epoch(m.peer)) skip_marks_[live++] = m;
+  skip_marks_.resize(live);
 }
 
 bool Router::contact_skipped(PacketId id, NodeId peer) const {
-  if (id >= 0 && static_cast<std::size_t>(id) < skip_marks_.size()) {
-    const SkipMark& mark = skip_marks_[static_cast<std::size_t>(id)];
-    if (mark.peer == peer) return mark.epoch != 0 && mark.epoch == peer_epoch(peer);
-  }
-  if (!skip_overflow_.empty()) {
-    for (const OverflowMark& o : skip_overflow_)
-      if (o.id == id && o.peer == peer) return o.epoch != 0 && o.epoch == peer_epoch(peer);
-  }
+  for (const SkipMark& m : skip_marks_)
+    if (m.id == id && m.peer == peer) return m.epoch != 0 && m.epoch == peer_epoch(peer);
   return false;
 }
 
@@ -212,7 +196,15 @@ void Router::on_crash(bool drop_buffers, Time now) {
   }
 }
 
-void Router::flush_obs(obs::ObsContext& /*out*/) const {}
+void Router::flush_obs(obs::ObsContext& out) const {
+  out.metrics.add(obs::Counter::kMemRouterBytes, state_bytes());
+}
+
+std::size_t Router::state_bytes() const {
+  return buffer_.bytes() + acked_.bytes() + received_.capacity() +
+         skip_marks_.capacity() * sizeof(SkipMark) +
+         peer_epoch_.capacity() * sizeof(std::uint32_t);
+}
 
 void Router::save_state(BinWriter& out) {
   out.tag("ROUT");

@@ -24,9 +24,9 @@
 //
 // Hot-path state is flat: packet ids are dense pool indexes, so delivery
 // receipts and acknowledgments are direct-indexed tables (dtn/ack_table.h),
-// and the per-contact skip sets are epoch-stamped marks — contact_begin
-// bumps the peer's epoch instead of clearing a container, which makes the
-// reset O(1) and the whole contact path allocation-free.
+// and the per-contact skip sets are epoch-stamped marks in one short packed
+// list — contact_begin/contact_end bump the peer's epoch instead of clearing
+// a container, and contact_end compacts the stale marks away.
 #pragma once
 
 #include <cstdint>
@@ -260,8 +260,12 @@ class Router {
   // Observability flush, called once by Simulation::finish(): protocols that
   // keep internal probe counters (e.g. RapidRouter's utility-cache stats)
   // push them into the run's metrics registry here, so hot paths never pay
-  // for reporting. Must not mutate routing state. Default: nothing to flush.
+  // for reporting. Must not mutate routing state. The base flushes
+  // state_bytes() as mem.router_bytes; overrides call it.
   virtual void flush_obs(obs::ObsContext& out) const;
+  // Heap bytes of the base router's state: buffer entries and slot index,
+  // ack table, delivery receipts, skip marks and peer epochs.
+  std::size_t state_bytes() const;
 
   // --- snapshot/restore -------------------------------------------------------
   // Serializes the behaviorally significant state (buffer in packed order,
@@ -292,7 +296,9 @@ class Router {
   // Skip sets are kept per peer so that concurrent sessions with different
   // peers do not poison each other's candidate lists. Marks are epoch-
   // stamped per (packet, peer): contact_begin/contact_end bump the peer's
-  // epoch, which invalidates that peer's marks in O(1).
+  // epoch, which invalidates that peer's marks in O(1). A lookup scans the
+  // live marks, which are few (a packet is marked only when a peer rejects
+  // it for lack of room).
   bool contact_skipped(PacketId id, NodeId peer) const;
 
  protected:
@@ -331,21 +337,16 @@ class Router {
  private:
   friend class PeerView;
 
-  // One epoch-stamped skip mark. The common case is one live mark per
-  // packet (contacts run sequentially); when concurrent sessions mark the
-  // same packet for different peers, the extra marks spill into a small
-  // overflow list so no peer's mark is ever lost.
+  // One epoch-stamped skip mark: live while `epoch` equals the peer's
+  // current epoch, i.e. for the rest of one contact with that peer.
   struct SkipMark {
-    std::uint32_t epoch = 0;
-    NodeId peer = kNoNode;
-  };
-  struct OverflowMark {
-    std::uint32_t epoch = 0;
-    NodeId peer = kNoNode;
     PacketId id = kNoPacket;
+    NodeId peer = kNoNode;
+    std::uint32_t epoch = 0;
   };
 
   void mark_skipped(PacketId id, NodeId peer);
+  void compact_skip_marks();  // drops marks whose peer's epoch moved on
   std::uint32_t peer_epoch(NodeId peer) const {
     return static_cast<std::size_t>(peer) < peer_epoch_.size()
                ? peer_epoch_[static_cast<std::size_t>(peer)]
@@ -358,9 +359,8 @@ class Router {
   Rng rng_;
   std::vector<std::uint8_t> received_;  // delivered to this node (we are dst)
   AckTable acked_;                      // known-delivered packets
-  // Per-(packet, peer) epoch skip marks; see contact_skipped.
+  // Per-(packet, peer) epoch skip marks, packed; see contact_skipped.
   std::vector<SkipMark> skip_marks_;
-  std::vector<OverflowMark> skip_overflow_;
   std::vector<std::uint32_t> peer_epoch_;
   std::uint32_t epoch_counter_ = 0;
   NodeId plan_built_for_ = kNoNode;

@@ -25,6 +25,7 @@ const char* counter_name(Counter c) {
     case Counter::kMemMatrixBytes: return "mem.matrix_bytes";
     case Counter::kMemMetadataBytes: return "mem.metadata_bytes";
     case Counter::kMemPeerStateBytes: return "mem.peer_state_bytes";
+    case Counter::kMemRouterBytes: return "mem.router_bytes";
     case Counter::kMemUtilityCacheBytes: return "mem.utility_cache_bytes";
     case Counter::kMmHopRecomputes: return "mm.hop_recomputes";
     case Counter::kMmRelaxEdges: return "mm.relax_edges";
@@ -48,7 +49,6 @@ const char* counter_name(Counter c) {
     case Counter::kTraceDropped: return "trace.dropped";
     case Counter::kUtilityDelayHits: return "utility.delay_hits";
     case Counter::kUtilityDelayRecomputes: return "utility.delay_recomputes";
-    case Counter::kUtilityForgets: return "utility.forgets";
     case Counter::kUtilityRateHits: return "utility.rate_hits";
     case Counter::kUtilityRateRecomputes: return "utility.rate_recomputes";
     case Counter::kCount: break;

@@ -37,10 +37,12 @@ enum class Counter : std::uint16_t {
   kFaultRecoveries,
   kFaultTailRetries,
   kLogMessages,
-  // End-of-run heap bytes, summed over the fleet's RAPID routers.
+  // End-of-run heap bytes, summed over the fleet: RAPID's matrices,
+  // ledgers, peer tables and utility caches, and every router's base state.
   kMemMatrixBytes,
   kMemMetadataBytes,
   kMemPeerStateBytes,
+  kMemRouterBytes,
   kMemUtilityCacheBytes,
   // RAPID routing work, summed over the fleet: h-hop relaxation (recomputes,
   // rows scanned past the own row, their entries) and meeting-row gossip
@@ -67,7 +69,6 @@ enum class Counter : std::uint16_t {
   kTraceDropped,
   kUtilityDelayHits,
   kUtilityDelayRecomputes,
-  kUtilityForgets,
   kUtilityRateHits,
   kUtilityRateRecomputes,
   kCount

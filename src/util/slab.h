@@ -1,8 +1,10 @@
 // Growth policy for the dense per-packet slot tables of the flat-state
 // layout: ids arrive roughly in creation order, so growing to exactly id+1
 // would reallocate over and over — grow geometrically instead. One shared
-// helper so every slab (buffers, ack tables, skip marks, caches, channels)
-// follows the same policy.
+// helper so every slab (buffers, ack tables, delivery receipts, metadata
+// indexes, per-protocol packet tables, channels) follows the same policy.
+// A slab indexed by packet id is pool-sized in the worst case; per-packet
+// state that only buffered packets need belongs beside the buffer instead.
 #pragma once
 
 #include <algorithm>

@@ -1,8 +1,9 @@
 // Flat-state overhaul tests: the dense per-packet Buffer (capacity
 // invariant, swap-erase order independence, for_each vs packet_ids
 // agreement), the epoch-stamped per-peer skip marks (O(1) reset across
-// contacts, concurrent-peer isolation), the incrementally maintained
-// AgeOrder, the GlobalChannel span regression, and the enforced >= 2x
+// contacts, concurrent-peer isolation, stale-mark compaction past 32 live
+// marks), the incrementally maintained AgeOrder, the GlobalChannel span
+// regression, and the enforced >= 2x
 // speedup of the flat tables over the legacy hash-map shims they replaced
 // (tests/support/legacy_map_shim.h, kept for exactly this PR).
 #include <gtest/gtest.h>
@@ -156,6 +157,84 @@ TEST_F(EpochSkipTest, ConcurrentPeersKeepIndependentMarks) {
   EXPECT_TRUE(a.contact_skipped(0, 2));
   a.contact_end(peer_c, 31.0);
   EXPECT_FALSE(a.contact_skipped(0, 2));
+}
+
+// Marks for ids the pool does not hold: on_transfer_failed reads only p.id.
+void reject(SkipProbeRouter& r, PacketId id, const PeerView& peer, Time now) {
+  Packet p;
+  p.id = id;
+  r.on_transfer_failed(p, peer, now);
+}
+
+TEST_F(EpochSkipTest, MoreThan32LiveMarksInOneContactSurviveCompaction) {
+  SkipProbeRouter& a = router(0);
+  const PeerView peer_b(router(1));
+  // A capped fleet-2k run holds up to 228 live marks at once; every mark
+  // past the 32nd runs the stale-mark compaction, which must keep them all.
+  a.contact_begin(peer_b, 10.0, 0);
+  for (PacketId id = 0; id < 100; ++id) reject(a, id * 3, peer_b, 10.0);
+  for (PacketId id = 0; id < 300; ++id)
+    EXPECT_EQ(a.contact_skipped(id, 1), id % 3 == 0) << id;
+  // Marking again refreshes instead of duplicating.
+  for (PacketId id = 0; id < 100; ++id) reject(a, id * 3, peer_b, 10.0);
+  EXPECT_TRUE(a.contact_skipped(0, 1));
+  EXPECT_TRUE(a.contact_skipped(297, 1));
+  a.contact_end(peer_b, 11.0);
+  for (PacketId id = 0; id < 300; ++id) EXPECT_FALSE(a.contact_skipped(id, 1)) << id;
+}
+
+TEST_F(EpochSkipTest, ConcurrentSessionsMarkTheSamePacketsForDifferentPeers) {
+  SkipProbeRouter& a = router(0);
+  const PeerView peer_b(router(1));
+  const PeerView peer_c(router(2));
+  a.contact_begin(peer_b, 30.0, 0);
+  a.contact_begin(peer_c, 30.0, 0);
+  // Interleaved, past the compaction threshold: 40 packets rejected by both
+  // peers, 10 more by C only.
+  for (PacketId id = 0; id < 40; ++id) {
+    reject(a, id, peer_b, 30.0);
+    reject(a, id, peer_c, 30.0);
+  }
+  for (PacketId id = 40; id < 50; ++id) reject(a, id, peer_c, 30.0);
+  for (PacketId id = 0; id < 50; ++id) {
+    EXPECT_EQ(a.contact_skipped(id, 1), id < 40) << id;
+    EXPECT_TRUE(a.contact_skipped(id, 2)) << id;
+    EXPECT_FALSE(a.contact_skipped(id, 3)) << id;  // no session, no marks
+  }
+  // B's session ends and C's keeps marking: the compaction drops B's marks,
+  // never C's.
+  a.contact_end(peer_b, 31.0);
+  for (PacketId id = 50; id < 90; ++id) reject(a, id, peer_c, 31.0);
+  for (PacketId id = 0; id < 90; ++id) {
+    EXPECT_FALSE(a.contact_skipped(id, 1)) << id;
+    EXPECT_TRUE(a.contact_skipped(id, 2)) << id;
+  }
+  a.contact_end(peer_c, 32.0);
+  for (PacketId id = 0; id < 90; ++id) EXPECT_FALSE(a.contact_skipped(id, 2)) << id;
+}
+
+TEST_F(EpochSkipTest, EpochBumpsMakeMarksStaleAndCompactionNeverRevivesThem) {
+  SkipProbeRouter& a = router(0);
+  const PeerView peer_b(router(1));
+  a.contact_begin(peer_b, 10.0, 0);
+  for (PacketId id = 0; id < 20; ++id) reject(a, id, peer_b, 10.0);
+  // A second contact_begin with the same peer (no contact_end in between)
+  // also moves the epoch: the first contact's marks are stale, and new marks
+  // past the threshold compact them away rather than bring them back.
+  a.contact_begin(peer_b, 20.0, 0);
+  for (PacketId id = 0; id < 20; ++id) EXPECT_FALSE(a.contact_skipped(id, 1)) << id;
+  for (PacketId id = 100; id < 140; ++id) reject(a, id, peer_b, 20.0);
+  for (PacketId id = 0; id < 20; ++id) EXPECT_FALSE(a.contact_skipped(id, 1)) << id;
+  for (PacketId id = 100; id < 140; ++id) EXPECT_TRUE(a.contact_skipped(id, 1)) << id;
+  // Re-rejecting an old packet in this contact marks it afresh.
+  reject(a, 5, peer_b, 20.0);
+  EXPECT_TRUE(a.contact_skipped(5, 1));
+  a.contact_end(peer_b, 21.0);
+  EXPECT_FALSE(a.contact_skipped(5, 1));
+  for (PacketId id = 100; id < 140; ++id) EXPECT_FALSE(a.contact_skipped(id, 1)) << id;
+  a.contact_begin(peer_b, 30.0, 0);
+  EXPECT_FALSE(a.contact_skipped(5, 1));
+  EXPECT_FALSE(a.contact_skipped(120, 1));
 }
 
 // --- AgeOrder -----------------------------------------------------------------

@@ -398,6 +398,8 @@ TEST(ObsSimulationTest, CountersMatchSimResult) {
   EXPECT_GT(m.value("mem.metadata_bytes"), 0u);
   EXPECT_GT(m.value("mem.utility_cache_bytes"), 0u);
   EXPECT_GT(m.value("mem.peer_state_bytes"), 0u);
+  // ... and every router's base state, from Router::flush_obs.
+  EXPECT_GT(m.value("mem.router_bytes"), 0u);
   // ... and its relaxation and row-gossip work counters.
   EXPECT_GT(m.value("mm.hop_recomputes"), 0u);
   EXPECT_GT(m.value("mm.relax_rows"), 0u);

@@ -1,7 +1,7 @@
 // Tests for the incremental utility engine (core/utility_cache.h): flat
-// destination-queue storage, the open-addressing packet index, memoization
-// semantics, and — via a RapidRouter — the invalidation edges: ack arrival,
-// replica learned through metadata, meeting-matrix generation bump, and
+// destination-queue storage, the memo slots kept beside queued packets,
+// and — via a RapidRouter — the invalidation edges: ack arrival, replica
+// learned through metadata, meeting-matrix generation bump, and
 // expiry-driven eviction mid-contact. Each edge must dirty exactly the
 // affected packets, asserted with the cache's probe counters. A final test
 // locks in the headline property: a cached simulation performs several times
@@ -53,16 +53,16 @@ TEST(UtilityCacheQueues, BytesBeforeUniformAndMixed) {
   UtilityCache cache(2);
   for (int i = 0; i < 5; ++i) cache.queue_insert(1, entry(10.0 * i, i, 2_KB));
   // Uniform fast path: position * size.
-  EXPECT_EQ(cache.queue_bytes_before(1, entry(25.0, 99, 2_KB)), 3 * 2_KB);
-  EXPECT_EQ(cache.queue_bytes_before(1, entry(0.0, -5)), 0);
-  EXPECT_EQ(cache.queue_bytes_before(1, entry(1000.0, 99)), 5 * 2_KB);  // whole queue ahead
+  EXPECT_EQ(cache.locate(1, entry(25.0, 99, 2_KB)).bytes_ahead, 3 * 2_KB);
+  EXPECT_EQ(cache.locate(1, entry(0.0, -5)).bytes_ahead, 0);
+  EXPECT_EQ(cache.locate(1, entry(1000.0, 99)).bytes_ahead, 5 * 2_KB);  // whole queue ahead
   // A different size forces the exact prefix scan; results must agree with
   // the sum the eager engine computed.
   cache.queue_insert(1, entry(15.0, 50, 1_KB));
-  EXPECT_EQ(cache.queue_bytes_before(1, entry(25.0, 99)), 3 * 2_KB + 1_KB);
+  EXPECT_EQ(cache.locate(1, entry(25.0, 99)).bytes_ahead, 3 * 2_KB + 1_KB);
   // Removing the odd size restores the uniform fast path.
   cache.queue_erase(1, entry(15.0, 50));
-  EXPECT_EQ(cache.queue_bytes_before(1, entry(25.0, 99)), 3 * 2_KB);
+  EXPECT_EQ(cache.locate(1, entry(25.0, 99)).bytes_ahead, 3 * 2_KB);
 }
 
 TEST(UtilityCacheQueues, ForEachQueueVisitsAscendingNonEmpty) {
@@ -70,93 +70,226 @@ TEST(UtilityCacheQueues, ForEachQueueVisitsAscendingNonEmpty) {
   cache.queue_insert(3, entry(1.0, 1));
   cache.queue_insert(0, entry(2.0, 2));
   std::vector<NodeId> visited;
-  cache.for_each_queue([&](NodeId dst, const std::vector<UtilityCache::QueueEntry>&) {
+  cache.for_each_queue([&](NodeId dst, const std::vector<UtilityCache::QueueEntry>&,
+                           UtilityCache::Memo*) {
     visited.push_back(dst);
     return true;
   });
   EXPECT_EQ(visited, (std::vector<NodeId>{0, 3}));
   // Returning false stops the walk early.
   visited.clear();
-  cache.for_each_queue([&](NodeId dst, const std::vector<UtilityCache::QueueEntry>&) {
+  cache.for_each_queue([&](NodeId dst, const std::vector<UtilityCache::QueueEntry>&,
+                           UtilityCache::Memo*) {
     visited.push_back(dst);
     return false;
   });
   EXPECT_EQ(visited, (std::vector<NodeId>{0}));
 }
 
-// --- memoization and the packet index -----------------------------------------
+// --- memo slots in the destination queue --------------------------------------
 
-TEST(UtilityCacheMemo, RecomputesOnlyWhenInputsChange) {
+// Counts compute() calls; each call returns the next multiple of 10.
+struct Evaluations {
+  int calls = 0;
+  auto next() {
+    return [this] { return 10.0 * ++calls; };
+  }
+};
+
+TEST(UtilityCacheQueueMemo, HitNeedsEveryInputEqual) {
   UtilityCache cache(2);
-  int evaluations = 0;
-  const auto compute = [&] { return 10.0 * ++evaluations; };
-  UtilityCache::DelayInputs inputs{1_KB, 100_KB, 300.0};
-  EXPECT_DOUBLE_EQ(cache.direct_delay(7, inputs, compute), 10.0);
-  EXPECT_DOUBLE_EQ(cache.direct_delay(7, inputs, compute), 10.0);  // hit
-  EXPECT_EQ(evaluations, 1);
-  inputs.meeting_time = 450.0;  // any moved input dirties the entry
-  EXPECT_DOUBLE_EQ(cache.direct_delay(7, inputs, compute), 20.0);
-  EXPECT_EQ(evaluations, 2);
+  cache.queue_insert(1, entry(10.0, 7));
+  UtilityCache::Memo* memo = cache.locate(1, entry(10.0, 7)).memo;
+  ASSERT_NE(memo, nullptr);
+  Evaluations ev;
+  const UtilityCache::DelayInputs base{1_KB, 100_KB, 300.0};
+  EXPECT_DOUBLE_EQ(cache.direct_delay(memo, base, ev.next()), 10.0);
+  EXPECT_DOUBLE_EQ(cache.direct_delay(memo, base, ev.next()), 10.0);  // hit
+  EXPECT_EQ(ev.calls, 1);
+  // Each delay input on its own dirties the slot.
+  UtilityCache::DelayInputs moved = base;
+  moved.bytes_ahead = 2_KB;
+  EXPECT_DOUBLE_EQ(cache.direct_delay(memo, moved, ev.next()), 20.0);
+  moved = base;
+  moved.opportunity = 50_KB;
+  EXPECT_DOUBLE_EQ(cache.direct_delay(memo, moved, ev.next()), 30.0);
+  moved = base;
+  moved.meeting_time = 450.0;
+  EXPECT_DOUBLE_EQ(cache.direct_delay(memo, moved, ev.next()), 40.0);
   EXPECT_EQ(cache.stats().delay_hits, 1u);
-  EXPECT_EQ(cache.stats().delay_recomputes, 2u);
+  EXPECT_EQ(cache.stats().delay_recomputes, 4u);
 
-  UtilityCache::RateInputs rate_inputs{inputs, 5, true};
-  EXPECT_DOUBLE_EQ(cache.rate(7, rate_inputs, compute), 30.0);
-  EXPECT_DOUBLE_EQ(cache.rate(7, rate_inputs, compute), 30.0);
-  rate_inputs.in_buffer = false;  // buffer membership is part of the key
-  EXPECT_DOUBLE_EQ(cache.rate(7, rate_inputs, compute), 40.0);
+  const UtilityCache::RateInputs rate_base{base, 5, true};
+  EXPECT_DOUBLE_EQ(cache.rate(memo, rate_base, ev.next()), 50.0);
+  EXPECT_DOUBLE_EQ(cache.rate(memo, rate_base, ev.next()), 50.0);  // hit
+  UtilityCache::RateInputs rate_moved = rate_base;
+  rate_moved.metadata_gen = 6;
+  EXPECT_DOUBLE_EQ(cache.rate(memo, rate_moved, ev.next()), 60.0);
+  rate_moved = rate_base;
+  rate_moved.in_buffer = false;
+  EXPECT_DOUBLE_EQ(cache.rate(memo, rate_moved, ev.next()), 70.0);
+  rate_moved = rate_base;
+  rate_moved.delay.meeting_time = 450.0;
+  EXPECT_DOUBLE_EQ(cache.rate(memo, rate_moved, ev.next()), 80.0);
   EXPECT_EQ(cache.stats().rate_hits, 1u);
-  EXPECT_EQ(cache.stats().rate_recomputes, 2u);
+  EXPECT_EQ(cache.stats().rate_recomputes, 4u);
 }
 
-TEST(UtilityCacheMemo, SurvivesGrowthAndForget) {
+TEST(UtilityCacheQueueMemo, MemoFollowsItsPacketAcrossQueueEdits) {
   UtilityCache cache(2);
-  const UtilityCache::DelayInputs inputs{1_KB, 100_KB, 300.0};
-  // Enough distinct packets to force several index rehashes.
-  for (PacketId id = 0; id < 10000; ++id)
-    cache.direct_delay(id, inputs, [&] { return static_cast<double>(id); });
-  EXPECT_EQ(cache.tracked_packets(), 10000u);
-  for (PacketId id = 0; id < 10000; ++id) {
-    int evaluated = 0;
-    EXPECT_DOUBLE_EQ(cache.direct_delay(id, inputs,
+  const UtilityCache::QueueEntry a = entry(10.0, 1);
+  const UtilityCache::QueueEntry b = entry(20.0, 2);
+  cache.queue_insert(1, a);
+  cache.queue_insert(1, b);
+  const auto delay_of = [&](const UtilityCache::QueueEntry& e, double fresh, int& calls) {
+    const UtilityCache::Location at = cache.locate(1, e);
+    return cache.direct_delay(at.memo, UtilityCache::DelayInputs{at.bytes_ahead, 100_KB, 300.0},
+                              [&] {
+                                ++calls;
+                                return fresh;
+                              });
+  };
+  int calls = 0;
+  EXPECT_DOUBLE_EQ(delay_of(a, 1.0, calls), 1.0);
+  EXPECT_DOUBLE_EQ(delay_of(b, 2.0, calls), 2.0);
+  EXPECT_EQ(calls, 2);
+
+  // A newer packet queues behind both: neither prefix moved, both still hit.
+  cache.queue_insert(1, entry(30.0, 3));
+  EXPECT_DOUBLE_EQ(delay_of(a, -1.0, calls), 1.0);
+  EXPECT_DOUBLE_EQ(delay_of(b, -1.0, calls), 2.0);
+  EXPECT_EQ(calls, 2);
+
+  // An older packet inserted ahead shifts both slots by one position. Each
+  // memo moved with its packet (it still holds that packet's value) ...
+  const UtilityCache::QueueEntry older = entry(5.0, 4);
+  cache.queue_insert(1, older);
+  const UtilityCache::Memo* moved_b = cache.locate(1, b).memo;
+  ASSERT_NE(moved_b, nullptr);
+  EXPECT_TRUE(moved_b->delay_valid);
+  EXPECT_DOUBLE_EQ(moved_b->delay, 2.0);
+  EXPECT_EQ(moved_b->inputs.bytes_ahead, 1_KB);
+  // ... and the moved prefix forces a recompute.
+  EXPECT_EQ(cache.locate(1, b).bytes_ahead, 2_KB);
+  EXPECT_DOUBLE_EQ(delay_of(a, 3.0, calls), 3.0);
+  EXPECT_DOUBLE_EQ(delay_of(b, 4.0, calls), 4.0);
+  EXPECT_EQ(calls, 4);
+
+  // Erasing the older packet shifts them back: each memo follows again, and
+  // the prefix moving back is one more recompute, not a stale hit.
+  cache.queue_erase(1, older);
+  EXPECT_DOUBLE_EQ(cache.locate(1, b).memo->delay, 4.0);
+  EXPECT_DOUBLE_EQ(delay_of(a, 5.0, calls), 5.0);
+  EXPECT_DOUBLE_EQ(delay_of(b, 6.0, calls), 6.0);
+  EXPECT_EQ(calls, 6);
+  EXPECT_DOUBLE_EQ(delay_of(b, -1.0, calls), 6.0);  // settled: hits again
+  EXPECT_EQ(calls, 6);
+}
+
+TEST(UtilityCacheQueueMemo, EraseThenReinsertStartsCold) {
+  UtilityCache cache(2);
+  const UtilityCache::QueueEntry a = entry(10.0, 1);
+  const UtilityCache::DelayInputs inputs{0, 100_KB, 300.0};
+  const UtilityCache::RateInputs rate_inputs{inputs, 1, true};
+  cache.queue_insert(1, a);
+  UtilityCache::Memo* memo = cache.locate(1, a).memo;
+  cache.rate(memo, rate_inputs,
+             [&] { return cache.direct_delay(memo, inputs, [] { return 2.0; }); });
+  EXPECT_EQ(cache.tracked_packets(), 1u);
+
+  // Dropped and stored again with identical inputs: nothing survives the
+  // erase, so both values are recomputed.
+  cache.queue_erase(1, a);
+  EXPECT_EQ(cache.locate(1, a).memo, nullptr);
+  cache.queue_insert(1, a);
+  memo = cache.locate(1, a).memo;
+  ASSERT_NE(memo, nullptr);
+  EXPECT_FALSE(memo->delay_valid);
+  EXPECT_FALSE(memo->rate_valid);
+  int calls = 0;
+  EXPECT_DOUBLE_EQ(cache.direct_delay(memo, inputs,
+                                      [&] {
+                                        ++calls;
+                                        return 3.0;
+                                      }),
+                   3.0);
+  EXPECT_DOUBLE_EQ(cache.rate(memo, rate_inputs,
+                              [&] {
+                                ++calls;
+                                return 4.0;
+                              }),
+                   4.0);
+  EXPECT_EQ(calls, 2);
+  // The slot count is a high-water mark: one packet was queued at a time.
+  EXPECT_EQ(cache.tracked_packets(), 1u);
+}
+
+TEST(UtilityCacheQueueMemo, UnqueuedPacketComputesEveryCallAndStoresNothing) {
+  UtilityCache cache(2);
+  // `queued` is at the position an unqueued probe with the same creation
+  // time and a smaller id sorts to, so a slot served by position alone
+  // would be the wrong packet's.
+  const UtilityCache::QueueEntry queued = entry(10.0, 5);
+  const UtilityCache::QueueEntry probe = entry(10.0, 4);
+  cache.queue_insert(1, queued);
+  const UtilityCache::DelayInputs inputs{0, 100_KB, 300.0};
+  UtilityCache::Memo* memo = cache.locate(1, queued).memo;
+  cache.rate(memo, UtilityCache::RateInputs{inputs, 1, true},
+             [&] { return cache.direct_delay(memo, inputs, [] { return 7.0; }); });
+
+  const UtilityCache::Location at = cache.locate(1, probe);
+  EXPECT_EQ(at.memo, nullptr);
+  EXPECT_EQ(at.bytes_ahead, 0);
+  EXPECT_EQ(cache.locate(0, probe).memo, nullptr);  // destination never queued
+  const UtilityCacheStats before = cache.stats();
+  int calls = 0;
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_DOUBLE_EQ(cache.direct_delay(at.memo, inputs,
                                         [&] {
-                                          ++evaluated;
-                                          return -1.0;
+                                          ++calls;
+                                          return 9.0;
                                         }),
-                     static_cast<double>(id));
-    EXPECT_EQ(evaluated, 0) << id;
+                     9.0);
+    EXPECT_DOUBLE_EQ(cache.rate(at.memo, UtilityCache::RateInputs{inputs, 1, true},
+                                [&] {
+                                  ++calls;
+                                  return 11.0;
+                                }),
+                     11.0);
   }
-  // Forget every third packet (ack purges); the survivors keep their values.
-  for (PacketId id = 0; id < 10000; id += 3) cache.forget(id);
-  for (PacketId id = 0; id < 10000; ++id) {
-    int evaluated = 0;
-    const double value =
-        cache.direct_delay(id, inputs, [&] {
-          ++evaluated;
-          return -2.0;
-        });
-    if (id % 3 == 0) {
-      EXPECT_EQ(evaluated, 1) << id;  // forgotten: recomputed
-      EXPECT_DOUBLE_EQ(value, -2.0);
-    } else {
-      EXPECT_EQ(evaluated, 0) << id;
-      EXPECT_DOUBLE_EQ(value, static_cast<double>(id));
-    }
-  }
+  EXPECT_EQ(calls, 6);
+  EXPECT_EQ(cache.stats().delay_hits, before.delay_hits);
+  EXPECT_EQ(cache.stats().rate_hits, before.rate_hits);
+  EXPECT_EQ(cache.stats().delay_recomputes, before.delay_recomputes + 3);
+  EXPECT_EQ(cache.stats().rate_recomputes, before.rate_recomputes + 3);
+  // The queued packet's slot is untouched by the probe's evaluations.
+  EXPECT_DOUBLE_EQ(memo->delay, 7.0);
+  EXPECT_DOUBLE_EQ(memo->rate, 7.0);
+  EXPECT_EQ(cache.tracked_packets(), 1u);
 }
 
-TEST(UtilityCacheMemo, NestedComputeMayGrowTheIndex) {
-  // A rate recompute reads the cached self delay — the inner call may insert
-  // an entry and reallocate the packed vector mid-flight.
+TEST(UtilityCacheQueueMemo, RateComputeFillsTheSameSlotsDelay) {
   UtilityCache cache(2);
-  const UtilityCache::DelayInputs delay_inputs{1_KB, 100_KB, 300.0};
-  const UtilityCache::RateInputs rate_inputs{delay_inputs, 1, true};
-  for (PacketId id = 0; id < 200; ++id) {
-    const double value = cache.rate(id, rate_inputs, [&] {
-      return cache.direct_delay(id + 100000, delay_inputs, [&] { return 2.0; }) + 1.0;
+  cache.queue_insert(1, entry(10.0, 1));
+  UtilityCache::Memo* memo = cache.locate(1, entry(10.0, 1)).memo;
+  const UtilityCache::DelayInputs inputs{0, 100_KB, 300.0};
+  const UtilityCache::RateInputs rate_inputs{inputs, 3, true};
+  int delay_calls = 0;
+  const auto delay = [&] {
+    return cache.direct_delay(memo, inputs, [&] {
+      ++delay_calls;
+      return 4.0;
     });
-    EXPECT_DOUBLE_EQ(value, 3.0);
-  }
+  };
+  // The rate recompute computes the self delay into the same slot; storing
+  // the rate under the same delay inputs keeps that delay valid.
+  EXPECT_DOUBLE_EQ(cache.rate(memo, rate_inputs, [&] { return 1.0 / delay(); }), 0.25);
+  EXPECT_EQ(delay_calls, 1);
+  EXPECT_DOUBLE_EQ(delay(), 4.0);
+  EXPECT_EQ(delay_calls, 1);
+  EXPECT_EQ(cache.stats().delay_hits, 1u);
+  EXPECT_DOUBLE_EQ(cache.rate(memo, rate_inputs, [] { return -1.0; }), 0.25);
+  EXPECT_EQ(cache.stats().rate_hits, 1u);
 }
 
 // --- invalidation edges through a RapidRouter ---------------------------------
