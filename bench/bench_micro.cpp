@@ -293,7 +293,7 @@ BENCHMARK(BM_AckLookup)
 // Contact churn: the allocation-sensitive part of the hot path — repeated
 // short contacts against a storage-constrained RAPID pair, each contact
 // re-planning, exchanging metadata/acks and evicting under pressure. This
-// is the path the flat tables, epoch skip marks and scratch arena are for;
+// is the path the flat tables, skip marks and scratch arena are for;
 // the counter reports contacts/second.
 void BM_ContactChurn(benchmark::State& state) {
   constexpr int kNodes = 24;

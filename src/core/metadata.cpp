@@ -4,25 +4,14 @@
 #include <stdexcept>
 
 #include "util/binio.h"
-#include "util/slab.h"
 
 namespace rapid {
 
 const std::vector<ReplicaEstimate> MetadataStore::kEmpty;
 
-PacketMetadata& MetadataStore::materialize(PacketId id) {
-  if (id < 0) throw std::invalid_argument("MetadataStore: negative packet id");
-  std::int32_t& pos = grow_slot(pos_, id, std::int32_t{-1});
-  if (pos < 0) {
-    pos = static_cast<std::int32_t>(occupied_.size());
-    occupied_.push_back(id);
-    records_.emplace_back();
-  }
-  return records_[static_cast<std::size_t>(pos)];
-}
-
 bool MetadataStore::update_replica(PacketId id, const ReplicaEstimate& estimate) {
-  PacketMetadata& meta = materialize(id);
+  if (id < 0) throw std::invalid_argument("MetadataStore: negative packet id");
+  PacketMetadata& meta = records_.find_or_insert(id).meta;
   for (ReplicaEstimate& existing : meta.replicas) {
     if (existing.holder == estimate.holder) {
       if (estimate.stamp <= existing.stamp) return false;
@@ -39,8 +28,9 @@ bool MetadataStore::update_replica(PacketId id, const ReplicaEstimate& estimate)
 }
 
 bool MetadataStore::remove_replica(PacketId id, NodeId holder, Time stamp) {
-  if (!knows(id)) return false;
-  PacketMetadata& meta = records_[record_index(id)];
+  Record* record = records_.find(id);
+  if (record == nullptr) return false;
+  PacketMetadata& meta = record->meta;
   auto& replicas = meta.replicas;
   for (std::size_t i = 0; i < replicas.size(); ++i) {
     if (replicas[i].holder == holder) {
@@ -54,27 +44,13 @@ bool MetadataStore::remove_replica(PacketId id, NodeId holder, Time stamp) {
   return false;
 }
 
-void MetadataStore::forget_packet(PacketId id) {
-  if (!knows(id)) return;
-  const auto idx = static_cast<std::size_t>(id);
-  const auto at = static_cast<std::size_t>(pos_[idx]);
-  const std::size_t last = occupied_.size() - 1;
-  if (at != last) {
-    occupied_[at] = occupied_[last];
-    records_[at] = std::move(records_[last]);
-    pos_[static_cast<std::size_t>(occupied_[at])] = static_cast<std::int32_t>(at);
-  }
-  occupied_.pop_back();
-  records_.pop_back();
-  pos_[idx] = -1;
-}
+void MetadataStore::forget_packet(PacketId id) { records_.erase(id); }
 
 void MetadataStore::changed_since(
     Time since, std::vector<std::pair<PacketId, const PacketMetadata*>>& out) const {
   out.clear();
-  for (std::size_t i = 0; i < occupied_.size(); ++i) {
-    if (records_[i].last_changed > since) out.emplace_back(occupied_[i], &records_[i]);
-  }
+  for (const Record& r : records_)
+    if (r.meta.last_changed > since) out.emplace_back(r.id, &r.meta);
 }
 
 std::vector<std::pair<PacketId, const PacketMetadata*>> MetadataStore::changed_since(
@@ -90,21 +66,18 @@ Bytes MetadataStore::record_bytes(const PacketMetadata& meta) {
 }
 
 std::size_t MetadataStore::bytes() const {
-  std::size_t total = records_.capacity() * sizeof(PacketMetadata) +
-                      occupied_.capacity() * sizeof(PacketId) +
-                      pos_.capacity() * sizeof(std::int32_t);
-  for (const PacketMetadata& record : records_)
-    total += record.replicas.capacity() * sizeof(ReplicaEstimate);
+  std::size_t total = records_.bytes();
+  for (const Record& r : records_) total += r.meta.replicas.capacity() * sizeof(ReplicaEstimate);
   return total;
 }
 
 void MetadataStore::save(BinWriter& out) const {
   out.tag("META");
   out.u64(next_generation_);
-  out.u64(occupied_.size());
-  for (std::size_t i = 0; i < occupied_.size(); ++i) {
-    const PacketMetadata& meta = records_[i];
-    out.i64(occupied_[i]);
+  out.u64(records_.size());
+  for (const Record& r : records_) {
+    const PacketMetadata& meta = r.meta;
+    out.i64(r.id);
     out.f64(meta.last_changed);
     out.u64(meta.generation);
     out.u64(meta.replicas.size());
@@ -121,13 +94,11 @@ void MetadataStore::load(BinReader& in) {
   next_generation_ = in.u64();
   const std::uint64_t count = in.u64();
   records_.clear();
-  occupied_.clear();
-  records_.reserve(count);
-  occupied_.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     const PacketId id = static_cast<PacketId>(in.i64());
     if (id < 0) BinReader::fail("negative packet id in metadata record");
-    PacketMetadata meta;
+    if (records_.contains(id)) BinReader::fail("duplicate packet id in metadata records");
+    PacketMetadata& meta = records_.find_or_insert(id).meta;
     meta.last_changed = in.f64();
     meta.generation = in.u64();
     const std::uint64_t replicas = in.u64();
@@ -139,9 +110,6 @@ void MetadataStore::load(BinReader& in) {
       r.stamp = in.f64();
       meta.replicas.push_back(r);
     }
-    grow_slot(pos_, id, std::int32_t{-1}) = static_cast<std::int32_t>(occupied_.size());
-    occupied_.push_back(id);
-    records_.push_back(std::move(meta));
   }
 }
 

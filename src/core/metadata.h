@@ -7,11 +7,10 @@
 // node only sends records that changed since its last exchange with that
 // peer, "which reduces the size of the exchange considerably."
 //
-// Storage is flat: packet ids are dense pool indexes, so membership is a
-// direct-indexed position table (no hash buckets) into a packed record
-// vector kept parallel to a compact occupied-id list — the delta-exchange
-// walk and replica-rate scans run linear over contiguous memory, and only
-// known packets ever carry a record.
+// Storage is flat: a SlotMap (util/slab.h) of packed {id, record} entries,
+// so membership is one flat load (no hash buckets), the delta-exchange walk
+// and replica-rate scans run linear over contiguous memory, and only known
+// packets ever carry a record.
 #pragma once
 
 #include <cstddef>
@@ -19,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/slab.h"
 #include "util/types.h"
 
 namespace rapid {
@@ -58,10 +58,10 @@ inline constexpr Bytes kScalarBytes = 8;  // e.g. average transfer size
 // entries: everything present arrived via update_replica.
 class MetadataStore {
  public:
-  // Pre-sizes the id index for an experiment whose packet population is
-  // known up front (the pool is fully generated before the simulation
-  // starts).
-  void reserve_packets(std::size_t n) { pos_.reserve(n); }
+  // Allocates the id index up front for an experiment whose packet
+  // population is known (the pool is fully generated before the simulation
+  // starts), so it never reallocates.
+  void reserve_packets(std::size_t n) { records_.reserve(n); }
 
   // Record (or refresh) a replica estimate; keeps the newest stamp per
   // (packet, holder). Returns true if anything changed.
@@ -71,26 +71,26 @@ class MetadataStore {
   // Forget the packet entirely (it was acknowledged as delivered).
   void forget_packet(PacketId id);
 
-  bool knows(PacketId id) const {
-    return id >= 0 && static_cast<std::size_t>(id) < pos_.size() &&
-           pos_[static_cast<std::size_t>(id)] >= 0;
-  }
+  bool knows(PacketId id) const { return records_.contains(id); }
   // Pointer into the packed record vector; invalidated by the next
   // update/forget of *any* packet (records are packed, not pinned).
   const PacketMetadata* find(PacketId id) const {
-    return knows(id) ? &records_[record_index(id)] : nullptr;
+    const Record* r = records_.find(id);
+    return r != nullptr ? &r->meta : nullptr;
   }
   // Believed replicas of a packet (possibly stale — that is the point).
   const std::vector<ReplicaEstimate>& replicas(PacketId id) const {
-    return knows(id) ? records_[record_index(id)].replicas : kEmpty;
+    const PacketMetadata* meta = find(id);
+    return meta != nullptr ? meta->replicas : kEmpty;
   }
-  std::size_t packet_count() const { return occupied_.size(); }
+  std::size_t packet_count() const { return records_.size(); }
 
   // The packet record's current version: 0 when the packet is unknown,
   // otherwise a value that changes on every accepted update/removal and is
   // never reused by this store. Dirty-tracking key for cached rate sums.
   std::uint64_t generation(PacketId id) const {
-    return knows(id) ? records_[record_index(id)].generation : 0;
+    const PacketMetadata* meta = find(id);
+    return meta != nullptr ? meta->generation : 0;
   }
 
   // Records changed since `since`, appended to `out` (cleared first) as
@@ -103,13 +103,13 @@ class MetadataStore {
   // Wire size of one record.
   static Bytes record_bytes(const PacketMetadata& meta);
 
-  // Heap bytes held: the packed records with their replica lists, the
-  // occupied-id list and the id index.
+  // Heap bytes held: the packed records with their replica lists and the
+  // id index.
   std::size_t bytes() const;
 
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (std::size_t i = 0; i < occupied_.size(); ++i) fn(occupied_[i], records_[i]);
+    for (const Record& r : records_) fn(r.id, r.meta);
   }
 
   // Snapshot/restore: serializes the packed record order exactly (it drives
@@ -120,18 +120,15 @@ class MetadataStore {
   void load(BinReader& in);
 
  private:
-  std::size_t record_index(PacketId id) const {
-    return static_cast<std::size_t>(pos_[static_cast<std::size_t>(id)]);
-  }
-  // Ensures a record exists and is marked occupied; returns it.
-  PacketMetadata& materialize(PacketId id);
+  struct Record {
+    PacketId id = kNoPacket;
+    PacketMetadata meta;
+  };
 
-  // Packed live records; records_[k] belongs to packet occupied_[k]. Only
-  // known packets carry a record, so the store never zero-initializes a
-  // slot-per-packet-per-node slab.
-  std::vector<PacketMetadata> records_;
-  std::vector<PacketId> occupied_;
-  std::vector<std::int32_t> pos_;  // id -> index into records_/occupied_, -1 = absent
+  // Packed live records in swap-erase order. Only known packets carry a
+  // record, so the store never zero-initializes a slot-per-packet-per-node
+  // slab.
+  SlotMap<PacketId, Record, &Record::id> records_;
   std::uint64_t next_generation_ = 0;
   static const std::vector<ReplicaEstimate> kEmpty;
 };

@@ -15,27 +15,16 @@ RapidRouter::RapidRouter(NodeId self, Bytes buffer_capacity, const SimContext* c
       config_(config),
       matrix_(self, ctx->num_nodes, config.max_hops),
       global_(std::move(global)),
-      peer_slot_(static_cast<std::size_t>(ctx->num_nodes), -1),
       cache_(ctx->num_nodes) {
   if (config_.control == ControlChannelMode::kGlobalOracle && global_ == nullptr)
     throw std::invalid_argument("RapidRouter: global-oracle mode needs a GlobalChannel");
   // The workload pool is fully generated before the simulation starts, so
   // the per-packet slabs can be sized once instead of growing in churn.
   if (ctx->pool != nullptr) meta_.reserve_packets(ctx->pool->size());
+  peers_.reserve(static_cast<std::size_t>(ctx->num_nodes));
 }
 
-RapidRouter::PeerState& RapidRouter::peer_state(NodeId peer) {
-  std::int32_t& slot = peer_slot_[static_cast<std::size_t>(peer)];
-  if (slot < 0) {
-    slot = static_cast<std::int32_t>(peers_.size());
-    peers_.emplace_back();
-  }
-  return peers_[static_cast<std::size_t>(slot)];
-}
-
-std::size_t RapidRouter::peer_state_bytes() const {
-  return peers_.capacity() * sizeof(PeerState) + peer_slot_.capacity() * sizeof(std::int32_t);
-}
+std::size_t RapidRouter::peer_state_bytes() const { return peers_.bytes(); }
 
 // --- queue maintenance -------------------------------------------------------
 
@@ -57,7 +46,7 @@ double RapidRouter::effective_meeting_time(NodeId node) const {
 }
 
 Bytes RapidRouter::expected_opportunity(NodeId peer) const {
-  if (const PeerState* s = find_peer(peer); s != nullptr && !s->opportunity.empty())
+  if (const PeerState* s = peers_.find(peer); s != nullptr && !s->opportunity.empty())
     return std::max<Bytes>(1, static_cast<Bytes>(s->opportunity.value()));
   if (!avg_opportunity_.empty())
     return std::max<Bytes>(1, static_cast<Bytes>(avg_opportunity_.value()));
@@ -246,7 +235,7 @@ void RapidRouter::observe_opportunity(Bytes capacity, NodeId peer, Time now) {
   // folding zeros into B would wildly inflate the meeting counts of Alg. 2.
   if (capacity <= 0) return;
   avg_opportunity_.add(static_cast<double>(capacity));
-  peer_state(peer).opportunity.add(static_cast<double>(capacity));
+  peers_.find_or_insert(peer).opportunity.add(static_cast<double>(capacity));
 }
 
 void RapidRouter::broadcast_own_row(Time /*now*/) {
@@ -277,7 +266,7 @@ Bytes RapidRouter::exchange_metadata(RapidRouter& peer, Time now, Bytes budget) 
   Bytes used = 0;
   const auto fits = [&](Bytes cost) { return used + cost <= budget; };
   const auto finish = [&]() -> Bytes {
-    peer_state(peer.self()).last_sync = now;
+    peers_.find_or_insert(peer.self()).last_sync = now;
     return used;
   };
 
@@ -594,13 +583,13 @@ void RapidRouter::save_state(BinWriter& out) {
   // The peer table goes out dense (snapshot format v2): every node's sync
   // stamp, then every node's opportunity average, defaults for peers
   // without an entry.
-  const auto num_peers = static_cast<NodeId>(peer_slot_.size());
+  const NodeId num_peers = ctx().num_nodes;
   for (NodeId u = 0; u < num_peers; ++u) out.f64(last_sync(u));
   out.f64(avg_opportunity_.value());
   out.u64(avg_opportunity_.count());
   const MovingAverage none;
   for (NodeId u = 0; u < num_peers; ++u) {
-    const PeerState* s = find_peer(u);
+    const PeerState* s = peers_.find(u);
     const MovingAverage& m = s != nullptr ? s->opportunity : none;
     out.f64(m.value());
     out.u64(m.count());
@@ -622,11 +611,10 @@ void RapidRouter::load_state(BinReader& in) {
   // Entries are rebuilt only for peers whose dense values differ from the
   // defaults, which is exactly the set that had one.
   peers_.clear();
-  std::fill(peer_slot_.begin(), peer_slot_.end(), -1);
-  const auto num_peers = static_cast<NodeId>(peer_slot_.size());
+  const NodeId num_peers = ctx().num_nodes;
   for (NodeId u = 0; u < num_peers; ++u) {
     const Time t = in.f64();
-    if (t != -kTimeInfinity) peer_state(u).last_sync = t;
+    if (t != -kTimeInfinity) peers_.find_or_insert(u).last_sync = t;
   }
   {
     const double value = in.f64();
@@ -635,7 +623,7 @@ void RapidRouter::load_state(BinReader& in) {
   for (NodeId u = 0; u < num_peers; ++u) {
     const double value = in.f64();
     const std::uint64_t count = in.u64();
-    if (value != 0 || count != 0) peer_state(u).opportunity.restore(value, count);
+    if (value != 0 || count != 0) peers_.find_or_insert(u).opportunity.restore(value, count);
   }
   const bool had_global = in.u8() != 0;
   if (had_global != (global_ != nullptr))

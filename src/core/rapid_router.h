@@ -38,6 +38,7 @@
 #include "core/utility_cache.h"
 #include "dtn/router.h"
 #include "stats/moments.h"
+#include "util/slab.h"
 
 namespace rapid {
 
@@ -158,21 +159,15 @@ class RapidRouter : public Router {
   MovingAverage avg_opportunity_;  // all peers
 
   // Per-peer state, created on the first sync with a peer or the first
-  // opportunity sample for it: a packed vector behind a peer → slot index,
-  // so a router pays 4 B per fleet node plus one entry per peer it knows.
+  // opportunity sample for it: a SlotMap sized to the fleet, so a router
+  // pays 4 B per fleet node plus one entry per peer it knows.
   struct PeerState {
     Time last_sync = -kTimeInfinity;  // -inf = never synced
     MovingAverage opportunity;
   };
-  std::vector<PeerState> peers_;
-  std::vector<std::int32_t> peer_slot_;  // peer -> peers_ slot, -1 = none
-  const PeerState* find_peer(NodeId peer) const {
-    const std::int32_t slot = peer_slot_[static_cast<std::size_t>(peer)];
-    return slot >= 0 ? &peers_[static_cast<std::size_t>(slot)] : nullptr;
-  }
-  PeerState& peer_state(NodeId peer);  // find-or-insert; may grow peers_
+  SlotMap<NodeId, PeerState> peers_;
   Time last_sync(NodeId peer) const {
-    const PeerState* s = find_peer(peer);
+    const PeerState* s = peers_.find(peer);
     return s != nullptr ? s->last_sync : -kTimeInfinity;
   }
 

@@ -33,7 +33,7 @@ void reset_utility_cache_global_stats() {
 
 UtilityCache::UtilityCache(int num_nodes) {
   if (num_nodes < 0) throw std::invalid_argument("UtilityCache: negative num_nodes");
-  queue_slot_.assign(static_cast<std::size_t>(num_nodes), kEmptySlot);
+  queues_.reserve(static_cast<std::size_t>(num_nodes));
 }
 
 const std::vector<UtilityCache::QueueEntry> UtilityCache::kNoEntries;
@@ -47,17 +47,8 @@ UtilityCache::~UtilityCache() {
 
 // --- flat destination queues --------------------------------------------------
 
-UtilityCache::DestQueue& UtilityCache::queue_for(NodeId dst) {
-  std::int32_t& slot = queue_slot_[static_cast<std::size_t>(dst)];
-  if (slot < 0) {
-    slot = static_cast<std::int32_t>(queues_.size());
-    queues_.emplace_back();
-  }
-  return queues_[static_cast<std::size_t>(slot)];
-}
-
 void UtilityCache::queue_insert(NodeId dst, const QueueEntry& e) {
-  DestQueue& q = queue_for(dst);
+  DestQueue& q = queues_.find_or_insert(dst);
   if (q.entries.empty())
     nonempty_.insert(std::lower_bound(nonempty_.begin(), nonempty_.end(), dst), dst);
   const auto pos = std::upper_bound(q.entries.begin(), q.entries.end(), e);
@@ -65,7 +56,6 @@ void UtilityCache::queue_insert(NodeId dst, const QueueEntry& e) {
   q.entries.insert(pos, e);
   queued_peak_ = std::max(queued_peak_, ++queued_);
   q.total_bytes += e.size;
-  ++q.generation;
   for (auto& [size, count] : q.size_counts) {
     if (size == e.size) {
       ++count;
@@ -76,19 +66,21 @@ void UtilityCache::queue_insert(NodeId dst, const QueueEntry& e) {
 }
 
 void UtilityCache::queue_erase(NodeId dst, const QueueEntry& e) {
-  const std::int32_t slot = queue_slot_[static_cast<std::size_t>(dst)];
-  if (slot < 0) return;
-  DestQueue& q = queues_[static_cast<std::size_t>(slot)];
+  DestQueue* found = queues_.find(dst);
+  if (found == nullptr) return;
+  DestQueue& q = *found;
   const auto pos = std::lower_bound(q.entries.begin(), q.entries.end(), e);
   if (pos == q.entries.end() || pos->id != e.id) return;
   const Bytes size = pos->size;
   q.memos.erase(q.memos.begin() + (pos - q.entries.begin()));
   q.entries.erase(pos);
   --queued_;
-  if (q.entries.empty())
+  if (q.entries.empty()) {
     nonempty_.erase(std::lower_bound(nonempty_.begin(), nonempty_.end(), dst));
+    queues_.erase(dst);
+    return;
+  }
   q.total_bytes -= size;
-  ++q.generation;
   for (std::size_t i = 0; i < q.size_counts.size(); ++i) {
     if (q.size_counts[i].first == size) {
       if (--q.size_counts[i].second == 0) {
@@ -101,9 +93,9 @@ void UtilityCache::queue_erase(NodeId dst, const QueueEntry& e) {
 }
 
 UtilityCache::Location UtilityCache::locate(NodeId dst, const QueueEntry& e) {
-  const std::int32_t slot = queue_slot_[static_cast<std::size_t>(dst)];
-  if (slot < 0) return {};
-  DestQueue& q = queues_[static_cast<std::size_t>(slot)];
+  DestQueue* found = queues_.find(dst);
+  if (found == nullptr) return {};
+  DestQueue& q = *found;
   const auto pos = std::lower_bound(q.entries.begin(), q.entries.end(), e);
   const auto idx = static_cast<std::size_t>(pos - q.entries.begin());
   Location loc;
@@ -122,9 +114,7 @@ UtilityCache::Location UtilityCache::locate(NodeId dst, const QueueEntry& e) {
 }
 
 std::size_t UtilityCache::bytes() const {
-  std::size_t total = queues_.capacity() * sizeof(DestQueue) +
-                      queue_slot_.capacity() * sizeof(std::int32_t) +
-                      nonempty_.capacity() * sizeof(NodeId);
+  std::size_t total = queues_.bytes() + nonempty_.capacity() * sizeof(NodeId);
   for (const DestQueue& q : queues_)
     total += q.entries.capacity() * sizeof(QueueEntry) + q.memos.capacity() * sizeof(Memo) +
              q.size_counts.capacity() * sizeof(q.size_counts[0]);

@@ -11,12 +11,11 @@
 // UtilityCache makes those reads incremental:
 //
 //  * Per-destination packet queues live in flat contiguous storage (a
-//    packed vector of age-sorted entry vectors behind a destination → slot
-//    index, holding only destinations this node ever queued for) instead
-//    of a node-keyed map of vectors, with per-queue *generation* counters
-//    and an incrementally maintained size histogram so the prefix-bytes
-//    term of Algorithm 2 is O(log n) for the uniform-size workloads of
-//    Table 4.
+//    SlotMap of age-sorted entry vectors, holding only destinations with
+//    packets queued here now; a queue is freed when it empties) instead
+//    of a node-keyed map of vectors, with an incrementally maintained size
+//    histogram so the prefix-bytes term of Algorithm 2 is O(log n) for the
+//    uniform-size workloads of Table 4.
 //  * Per-packet direct-delay estimates (d_j of Algorithm 2) and replica-rate
 //    sums (sum_j 1/d_j of Eqs. 7-9) are memoized in a Memo vector parallel
 //    to each queue's entries, so a memo slot lives exactly as long as its
@@ -48,6 +47,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/slab.h"
 #include "util/types.h"
 
 namespace rapid {
@@ -159,11 +159,12 @@ class UtilityCache {
 
   // Inserts e with a cold memo slot.
   void queue_insert(NodeId dst, const QueueEntry& e);
-  // Erases the entry with e's (created, id) key and its memo; no-op if absent.
+  // Erases the entry with e's (created, id) key and its memo, freeing the
+  // queue when it empties; no-op if absent.
   void queue_erase(NodeId dst, const QueueEntry& e);
-  // Empty for a destination never queued for.
+  // Empty for a destination with nothing queued.
   const std::vector<QueueEntry>& queue(NodeId dst) const {
-    const DestQueue* q = find_queue(dst);
+    const DestQueue* q = queues_.find(dst);
     return q != nullptr ? q->entries : kNoEntries;
   }
   // One binary search by e's (created, id) age rank. The prefix is the byte
@@ -171,12 +172,6 @@ class UtilityCache {
   // distinct packet size (the maintained histogram), O(position) otherwise.
   // The memo slot is returned only when the entry found there is e's packet.
   Location locate(NodeId dst, const QueueEntry& e);
-  // 0 until the first insert for `dst`; counts every edit from then on
-  // (a queue's slot outlives its entries, so generations never restart).
-  std::uint64_t queue_generation(NodeId dst) const {
-    const DestQueue* q = find_queue(dst);
-    return q != nullptr ? q->generation : 0;
-  }
   // Non-empty queues in ascending destination order (deterministic, unlike
   // the node-keyed hash map this storage replaced), each with its memo slots
   // (memos[i] belongs to entries[i]). fn returns false to stop early (e.g.
@@ -186,7 +181,7 @@ class UtilityCache {
   template <typename Fn>
   void for_each_queue(Fn&& fn) {
     for (const NodeId dst : nonempty_) {
-      DestQueue& q = queues_[static_cast<std::size_t>(queue_slot_[static_cast<std::size_t>(dst)])];
+      DestQueue& q = *queues_.find(dst);
       if (!fn(dst, q.entries, q.memos.data())) return;
     }
   }
@@ -249,27 +244,18 @@ class UtilityCache {
 
  private:
   struct DestQueue {
-    std::vector<QueueEntry> entries;  // sorted by (created, id)
+    NodeId dst = kNoNode;
+    std::vector<QueueEntry> entries;  // sorted by (created, id), never empty
     std::vector<Memo> memos;          // parallel to entries
-    std::uint64_t generation = 0;
     // Histogram of distinct packet sizes present; one bucket in the uniform
     // case, which enables the O(log n) prefix-bytes fast path.
     std::vector<std::pair<Bytes, std::uint32_t>> size_counts;
     Bytes total_bytes = 0;
   };
 
-  static constexpr std::int32_t kEmptySlot = -1;
-
-  const DestQueue* find_queue(NodeId dst) const {
-    const std::int32_t slot = queue_slot_[static_cast<std::size_t>(dst)];
-    return slot >= 0 ? &queues_[static_cast<std::size_t>(slot)] : nullptr;
-  }
-  DestQueue& queue_for(NodeId dst);  // find-or-insert; may grow queues_
-
   static const std::vector<QueueEntry> kNoEntries;
-  std::vector<DestQueue> queues_;         // packed; one per dst ever queued
-  std::vector<std::int32_t> queue_slot_;  // dst -> queues_ slot, -1 = none
-  std::vector<NodeId> nonempty_;  // dsts with entries, sorted ascending
+  SlotMap<NodeId, DestQueue, &DestQueue::dst> queues_;  // one per dst queued now
+  std::vector<NodeId> nonempty_;  // queues_' keys, sorted ascending
   std::size_t queued_ = 0;        // memo slots held now
   std::size_t queued_peak_ = 0;   // ... and at most
   UtilityCacheStats stats_;

@@ -3,33 +3,22 @@
 #include <limits>
 #include <stdexcept>
 
-#include "util/slab.h"
-
 namespace rapid {
 
 bool Buffer::insert(PacketId id, Bytes size) {
   if (size < 0) throw std::invalid_argument("Buffer::insert: negative size");
   if (id < 0) throw std::invalid_argument("Buffer::insert: negative id");
-  if (contains(id)) return false;
-  if (!fits(size)) return false;
-  grow_slot(slot_, id, std::int32_t{-1}) = static_cast<std::int32_t>(entries_.size());
-  entries_.push_back(Entry{id, size});
+  if (contains(id) || !fits(size)) return false;
+  entries_.find_or_insert(id).size = size;
   used_ += size;
   return true;
 }
 
 bool Buffer::erase(PacketId id) {
-  if (!contains(id)) return false;
-  const auto pos = static_cast<std::size_t>(slot_[static_cast<std::size_t>(id)]);
-  used_ -= entries_[pos].size;
-  slot_[static_cast<std::size_t>(id)] = -1;
-  const std::size_t last = entries_.size() - 1;
-  if (pos != last) {
-    entries_[pos] = entries_[last];
-    slot_[static_cast<std::size_t>(entries_[pos].id)] = static_cast<std::int32_t>(pos);
-  }
-  entries_.pop_back();
-  return true;
+  const Entry* e = entries_.find(id);
+  if (e == nullptr) return false;
+  used_ -= e->size;
+  return entries_.erase(id);
 }
 
 Bytes Buffer::free_bytes() const {
@@ -38,8 +27,9 @@ Bytes Buffer::free_bytes() const {
 }
 
 Bytes Buffer::size_of(PacketId id) const {
-  if (!contains(id)) throw std::out_of_range("Buffer::size_of: not buffered");
-  return entries_[static_cast<std::size_t>(slot_[static_cast<std::size_t>(id)])].size;
+  const Entry* e = entries_.find(id);
+  if (e == nullptr) throw std::out_of_range("Buffer::size_of: not buffered");
+  return e->size;
 }
 
 std::vector<PacketId> Buffer::packet_ids() const {

@@ -4,19 +4,17 @@
 // The buffer enforces the capacity invariant; *which* packet to evict is a
 // routing-protocol decision and lives in Router::choose_drop_victim.
 //
-// Storage is an intrusive flat table: packet ids are dense pool indexes, so
-// membership is a direct-indexed slot array (id -> position in a packed
-// {id, size} entry list) instead of a hash map. contains/insert/erase are
-// O(1) (erase is swap-with-last), and iteration walks the packed entries —
-// contiguous memory, no buckets, no per-node allocation. The packed order is
-// insertion order perturbed by swap-erase; protocols that need a specific
-// order sort the ids themselves (see dtn/age_order.h).
+// Storage is a SlotMap (util/slab.h) of packed {id, size} entries:
+// contains/insert/erase are O(1) (erase is swap-with-last), and iteration
+// walks contiguous memory. The packed order is insertion order perturbed by
+// swap-erase; protocols that need a specific order sort the ids themselves
+// (see dtn/age_order.h).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
+#include "util/slab.h"
 #include "util/span.h"
 #include "util/types.h"
 
@@ -32,10 +30,7 @@ class Buffer {
   // capacity < 0 means unlimited.
   explicit Buffer(Bytes capacity = -1) : capacity_(capacity) {}
 
-  bool contains(PacketId id) const {
-    return id >= 0 && static_cast<std::size_t>(id) < slot_.size() &&
-           slot_[static_cast<std::size_t>(id)] >= 0;
-  }
+  bool contains(PacketId id) const { return entries_.contains(id); }
   // Inserts if it fits; returns false (and stores nothing) otherwise.
   bool insert(PacketId id, Bytes size);
   // Removes the packet (swap-with-last in the packed list); returns false if
@@ -50,14 +45,12 @@ class Buffer {
   bool empty() const { return entries_.empty(); }
   Bytes size_of(PacketId id) const;
   // Heap bytes held: the packed entries and the slot index.
-  std::size_t bytes() const {
-    return entries_.capacity() * sizeof(Entry) + slot_.capacity() * sizeof(std::int32_t);
-  }
+  std::size_t bytes() const { return entries_.bytes(); }
 
   // The packed entries themselves — a zero-copy view, valid until the next
   // insert/erase. Order is unspecified (insertion order perturbed by
   // swap-erase).
-  Span<Entry> entries() const { return Span<Entry>(entries_.data(), entries_.size()); }
+  Span<Entry> entries() const { return entries_.entries(); }
 
   // Stable snapshot of buffered packet ids (unspecified order). Allocates;
   // hot paths should use entries()/for_each instead.
@@ -71,8 +64,7 @@ class Buffer {
  private:
   Bytes capacity_;
   Bytes used_ = 0;
-  std::vector<Entry> entries_;        // packed live packets
-  std::vector<std::int32_t> slot_;    // id -> index into entries_, -1 = absent
+  SlotMap<PacketId, Entry, &Entry::id> entries_;
 };
 
 }  // namespace rapid

@@ -1,5 +1,7 @@
 #include "dtn/router.h"
 
+#include <algorithm>
+
 #include "dtn/metrics.h"
 #include "obs/obs.h"
 #include "util/binio.h"
@@ -52,10 +54,7 @@ bool Router::on_generate(const Packet& p) {
 void Router::observe_opportunity(Bytes /*capacity*/, NodeId /*peer*/, Time /*now*/) {}
 
 Bytes Router::contact_begin(const PeerView& peer, Time /*now*/, Bytes /*meta_budget*/) {
-  // Epoch bump = O(1) clear of this peer's skip marks.
-  const auto idx = static_cast<std::size_t>(peer.self());
-  if (idx >= peer_epoch_.size()) peer_epoch_.resize(idx + 1, 0);
-  peer_epoch_[idx] = ++epoch_counter_;
+  clear_skip_marks(peer.self());
   invalidate_plan();
   return 0;
 }
@@ -86,40 +85,25 @@ ReceiveOutcome Router::receive_copy(const Packet& p, const PeerView& from, std::
 }
 
 void Router::contact_end(const PeerView& peer, Time /*now*/) {
-  // Bump again so marks set during the contact go stale immediately.
-  const auto idx = static_cast<std::size_t>(peer.self());
-  if (idx >= peer_epoch_.size()) peer_epoch_.resize(idx + 1, 0);
-  peer_epoch_[idx] = ++epoch_counter_;
+  clear_skip_marks(peer.self());
   invalidate_plan();
-  compact_skip_marks();
 }
 
 std::int64_t Router::transfer_aux(const Packet& /*p*/, const PeerView& /*peer*/) { return 0; }
 
 void Router::mark_skipped(PacketId id, NodeId peer) {
-  const std::uint32_t epoch = peer_epoch(peer);
-  for (SkipMark& m : skip_marks_) {
-    if (m.id == id && m.peer == peer) {
-      m.epoch = epoch;
-      return;
-    }
-  }
-  // Compact stale marks (left by concurrent sessions that ended) before
-  // growing.
-  if (skip_marks_.size() >= 32) compact_skip_marks();
-  skip_marks_.push_back(SkipMark{id, peer, epoch});
+  if (!contact_skipped(id, peer)) skip_marks_.push_back(SkipMark{id, peer});
 }
 
-void Router::compact_skip_marks() {
-  std::size_t live = 0;
-  for (const SkipMark& m : skip_marks_)
-    if (m.epoch == peer_epoch(m.peer)) skip_marks_[live++] = m;
-  skip_marks_.resize(live);
+void Router::clear_skip_marks(NodeId peer) {
+  skip_marks_.erase(std::remove_if(skip_marks_.begin(), skip_marks_.end(),
+                                   [peer](const SkipMark& m) { return m.peer == peer; }),
+                    skip_marks_.end());
 }
 
 bool Router::contact_skipped(PacketId id, NodeId peer) const {
   for (const SkipMark& m : skip_marks_)
-    if (m.id == id && m.peer == peer) return m.epoch != 0 && m.epoch == peer_epoch(peer);
+    if (m.id == id && m.peer == peer) return true;
   return false;
 }
 
@@ -202,8 +186,7 @@ void Router::flush_obs(obs::ObsContext& out) const {
 
 std::size_t Router::state_bytes() const {
   return buffer_.bytes() + acked_.bytes() + received_.capacity() +
-         skip_marks_.capacity() * sizeof(SkipMark) +
-         peer_epoch_.capacity() * sizeof(std::uint32_t);
+         skip_marks_.capacity() * sizeof(SkipMark);
 }
 
 void Router::save_state(BinWriter& out) {

@@ -24,9 +24,8 @@
 //
 // Hot-path state is flat: packet ids are dense pool indexes, so delivery
 // receipts and acknowledgments are direct-indexed tables (dtn/ack_table.h),
-// and the per-contact skip sets are epoch-stamped marks in one short packed
-// list — contact_begin/contact_end bump the peer's epoch instead of clearing
-// a container, and contact_end compacts the stale marks away.
+// and the per-contact skip sets are {packet, peer} marks in one short packed
+// list — contact_begin/contact_end erase the peer's marks.
 #pragma once
 
 #include <cstdint>
@@ -264,16 +263,16 @@ class Router {
   // state_bytes() as mem.router_bytes; overrides call it.
   virtual void flush_obs(obs::ObsContext& out) const;
   // Heap bytes of the base router's state: buffer entries and slot index,
-  // ack table, delivery receipts, skip marks and peer epochs.
+  // ack table, delivery receipts and skip marks.
   std::size_t state_bytes() const;
 
   // --- snapshot/restore -------------------------------------------------------
   // Serializes the behaviorally significant state (buffer in packed order,
   // delivery receipts, ack table in insertion order, drop count, RNG state);
   // protocol subclasses extend with their own state. Called only between
-  // events (no open contact sessions), so per-contact plan caches and
-  // epoch-stamped skip marks — stale by design between contacts — are not
-  // serialized and restore cold. save_state must not perturb behavior:
+  // events (no open contact sessions), so per-contact plan caches and skip
+  // marks — empty by design between contacts — are not serialized and
+  // restore cold. save_state must not perturb behavior:
   // restored-and-continued runs are bit-identical to uninterrupted ones
   // (the snapshot tests enforce this across every protocol).
   virtual void save_state(BinWriter& out);
@@ -294,10 +293,10 @@ class Router {
   // to have the packet already.
   bool peer_wants(const PeerView& peer, const Packet& p) const;
   // Skip sets are kept per peer so that concurrent sessions with different
-  // peers do not poison each other's candidate lists. Marks are epoch-
-  // stamped per (packet, peer): contact_begin/contact_end bump the peer's
-  // epoch, which invalidates that peer's marks in O(1). A lookup scans the
-  // live marks, which are few (a packet is marked only when a peer rejects
+  // peers do not poison each other's candidate lists. Marks are (packet,
+  // peer) pairs that last one contact: contact_begin/contact_end erase the
+  // peer's marks. A lookup scans the list, which holds only the marks of
+  // open contacts and is short (a packet is marked only when a peer rejects
   // it for lack of room).
   bool contact_skipped(PacketId id, NodeId peer) const;
 
@@ -337,21 +336,14 @@ class Router {
  private:
   friend class PeerView;
 
-  // One epoch-stamped skip mark: live while `epoch` equals the peer's
-  // current epoch, i.e. for the rest of one contact with that peer.
+  // `peer` rejected packet `id` during the current contact.
   struct SkipMark {
     PacketId id = kNoPacket;
     NodeId peer = kNoNode;
-    std::uint32_t epoch = 0;
   };
 
   void mark_skipped(PacketId id, NodeId peer);
-  void compact_skip_marks();  // drops marks whose peer's epoch moved on
-  std::uint32_t peer_epoch(NodeId peer) const {
-    return static_cast<std::size_t>(peer) < peer_epoch_.size()
-               ? peer_epoch_[static_cast<std::size_t>(peer)]
-               : 0;
-  }
+  void clear_skip_marks(NodeId peer);
 
   NodeId self_;
   Buffer buffer_;
@@ -359,10 +351,8 @@ class Router {
   Rng rng_;
   std::vector<std::uint8_t> received_;  // delivered to this node (we are dst)
   AckTable acked_;                      // known-delivered packets
-  // Per-(packet, peer) epoch skip marks, packed; see contact_skipped.
+  // Per-(packet, peer) skip marks of open contacts; see contact_skipped.
   std::vector<SkipMark> skip_marks_;
-  std::vector<std::uint32_t> peer_epoch_;
-  std::uint32_t epoch_counter_ = 0;
   NodeId plan_built_for_ = kNoNode;
   std::size_t drops_ = 0;
   mutable std::unique_ptr<ScratchArena> own_arena_;  // fallback when ctx has none

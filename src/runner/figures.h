@@ -1,10 +1,10 @@
 // Declarative figure catalog: every paper figure/table the benches reproduce
 // is one FigureDef entry — scenario name (resolved through the scenario
 // registry), protocol series, metric extractor, axes — executed by the
-// shared runner instead of per-bench loops. The bench_fig* binaries and the
-// unified rapid_bench CLI are both thin wrappers over run_figure().
+// shared runner instead of per-bench loops. The unified rapid_bench CLI
+// (`rapid_bench --figure N`) is a thin wrapper over run_figure().
 //
-// Common flags (run_figure_main / rapid_bench):
+// Common flags (rapid_bench --figure / --all):
 //   --threads=N     sweep cells in parallel (bit-identical to --threads=1)
 //   --scenario=NAME override the figure's registry scenario
 //   --days=N/--runs=N  trace days or synthetic seeds per point
@@ -77,8 +77,6 @@ void export_table(const Table& table, const Options& options);
 // Runs one figure end-to-end (prints the table, exports if asked);
 // returns a process exit code.
 int run_figure(const FigureDef& fig, const Options& options);
-// Entry point for the thin per-figure bench binaries.
-int run_figure_main(const std::string& id, int argc, char** argv);
 // Entry point for the unified CLI: --figure/--all/--list/--list-scenarios.
 int rapid_bench_main(int argc, char** argv);
 

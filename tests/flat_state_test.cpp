@@ -1,8 +1,8 @@
 // Flat-state overhaul tests: the dense per-packet Buffer (capacity
 // invariant, swap-erase order independence, for_each vs packet_ids
-// agreement), the epoch-stamped per-peer skip marks (O(1) reset across
-// contacts, concurrent-peer isolation, stale-mark compaction past 32 live
-// marks), the incrementally maintained AgeOrder, the GlobalChannel span
+// agreement), the per-peer skip marks (reset at every contact begin and
+// end, concurrent-peer isolation, many live marks in one contact), the
+// incrementally maintained AgeOrder, the GlobalChannel span
 // regression, and the enforced >= 2x
 // speedup of the flat tables over the legacy hash-map shims they replaced
 // (tests/support/legacy_map_shim.h, kept for exactly this PR).
@@ -77,7 +77,7 @@ TEST(FlatBuffer, ForEachAgreesWithPacketIdsAndEntries) {
   }
 }
 
-// --- epoch skip marks ---------------------------------------------------------
+// --- skip marks ---------------------------------------------------------------
 
 class SkipProbeRouter : public Router {
  public:
@@ -121,8 +121,7 @@ TEST_F(EpochSkipTest, MarksResetAcrossContactsWithoutClearing) {
   a.on_transfer_failed(pool_.get(0), peer_b, 10.0);
   EXPECT_TRUE(a.contact_skipped(0, 1));
   a.contact_end(peer_b, 11.0);
-  // The mark is stale immediately after the contact: no container was
-  // cleared, the peer's epoch moved.
+  // The mark is gone as soon as the contact ends.
   EXPECT_FALSE(a.contact_skipped(0, 1));
 
   // A fresh contact with the same peer starts clean.
@@ -169,8 +168,8 @@ void reject(SkipProbeRouter& r, PacketId id, const PeerView& peer, Time now) {
 TEST_F(EpochSkipTest, MoreThan32LiveMarksInOneContactSurviveCompaction) {
   SkipProbeRouter& a = router(0);
   const PeerView peer_b(router(1));
-  // A capped fleet-2k run holds up to 228 live marks at once; every mark
-  // past the 32nd runs the stale-mark compaction, which must keep them all.
+  // A capped fleet-2k run holds up to 228 live marks at once; one contact
+  // must keep every mark it made, however many.
   a.contact_begin(peer_b, 10.0, 0);
   for (PacketId id = 0; id < 100; ++id) reject(a, id * 3, peer_b, 10.0);
   for (PacketId id = 0; id < 300; ++id)
@@ -189,8 +188,7 @@ TEST_F(EpochSkipTest, ConcurrentSessionsMarkTheSamePacketsForDifferentPeers) {
   const PeerView peer_c(router(2));
   a.contact_begin(peer_b, 30.0, 0);
   a.contact_begin(peer_c, 30.0, 0);
-  // Interleaved, past the compaction threshold: 40 packets rejected by both
-  // peers, 10 more by C only.
+  // Interleaved: 40 packets rejected by both peers, 10 more by C only.
   for (PacketId id = 0; id < 40; ++id) {
     reject(a, id, peer_b, 30.0);
     reject(a, id, peer_c, 30.0);
@@ -201,8 +199,8 @@ TEST_F(EpochSkipTest, ConcurrentSessionsMarkTheSamePacketsForDifferentPeers) {
     EXPECT_TRUE(a.contact_skipped(id, 2)) << id;
     EXPECT_FALSE(a.contact_skipped(id, 3)) << id;  // no session, no marks
   }
-  // B's session ends and C's keeps marking: the compaction drops B's marks,
-  // never C's.
+  // B's session ends and C's keeps marking: ending B's session erases B's
+  // marks, never C's.
   a.contact_end(peer_b, 31.0);
   for (PacketId id = 50; id < 90; ++id) reject(a, id, peer_c, 31.0);
   for (PacketId id = 0; id < 90; ++id) {
@@ -219,8 +217,8 @@ TEST_F(EpochSkipTest, EpochBumpsMakeMarksStaleAndCompactionNeverRevivesThem) {
   a.contact_begin(peer_b, 10.0, 0);
   for (PacketId id = 0; id < 20; ++id) reject(a, id, peer_b, 10.0);
   // A second contact_begin with the same peer (no contact_end in between)
-  // also moves the epoch: the first contact's marks are stale, and new marks
-  // past the threshold compact them away rather than bring them back.
+  // also erases the first contact's marks, and new marks do not bring them
+  // back.
   a.contact_begin(peer_b, 20.0, 0);
   for (PacketId id = 0; id < 20; ++id) EXPECT_FALSE(a.contact_skipped(id, 1)) << id;
   for (PacketId id = 100; id < 140; ++id) reject(a, id, peer_b, 20.0);

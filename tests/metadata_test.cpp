@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "core/metadata.h"
+#include "util/binio.h"
 
 namespace rapid {
 namespace {
@@ -108,6 +112,43 @@ TEST(MetadataStore, ForEachVisitsAll) {
   store.for_each([&](PacketId, const PacketMetadata&) { ++seen; });
   EXPECT_EQ(seen, 2);
   EXPECT_EQ(store.packet_count(), 2u);
+}
+
+std::string save_store(const MetadataStore& store) {
+  std::ostringstream bytes;
+  BinWriter writer(bytes);
+  store.save(writer);
+  return bytes.str();
+}
+
+// Loading replaces the store's contents: packets the store knew before the
+// load and the snapshot does not hold are unknown afterwards.
+TEST(MetadataStore, LoadForgetsPacketsTheSnapshotLacks) {
+  MetadataStore source;
+  source.update_replica(7, {2, 40.0, 4.0});
+  const std::string snapshot = save_store(source);
+
+  MetadataStore store;
+  for (PacketId id : {1, 2, 3}) store.update_replica(id, {3, 10.0 * id, 1.0});
+  std::istringstream in(snapshot);
+  BinReader reader(in);
+  store.load(reader);
+
+  for (PacketId id : {1, 2, 3}) {
+    EXPECT_FALSE(store.knows(id)) << id;
+    EXPECT_EQ(store.find(id), nullptr) << id;
+    EXPECT_TRUE(store.replicas(id).empty()) << id;
+    EXPECT_EQ(store.generation(id), 0u) << id;
+  }
+  EXPECT_EQ(store.packet_count(), 1u);
+  ASSERT_TRUE(store.knows(7));
+  ASSERT_EQ(store.replicas(7).size(), 1u);
+  EXPECT_EQ(store.replicas(7)[0].holder, 2);
+  EXPECT_EQ(save_store(store), snapshot);
+  // The loaded store keeps working: a forgotten id can be learned again.
+  EXPECT_TRUE(store.update_replica(3, {4, 5.0, 2.0}));
+  EXPECT_EQ(store.packet_count(), 2u);
+  EXPECT_EQ(store.replicas(3).size(), 1u);
 }
 
 }  // namespace

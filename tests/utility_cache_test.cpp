@@ -30,7 +30,8 @@ UtilityCache::QueueEntry entry(Time created, PacketId id, Bytes size = 1_KB) {
 
 TEST(UtilityCacheQueues, MaintainsAgeOrderAndGenerations) {
   UtilityCache cache(4);
-  EXPECT_EQ(cache.queue_generation(2), 0u);
+  const std::size_t empty_bytes = cache.bytes();
+  EXPECT_TRUE(cache.queue(2).empty());
   cache.queue_insert(2, entry(30.0, 3));
   cache.queue_insert(2, entry(10.0, 1));
   cache.queue_insert(2, entry(20.0, 2));
@@ -38,15 +39,27 @@ TEST(UtilityCacheQueues, MaintainsAgeOrderAndGenerations) {
   EXPECT_EQ(cache.queue(2)[0].id, 1);
   EXPECT_EQ(cache.queue(2)[1].id, 2);
   EXPECT_EQ(cache.queue(2)[2].id, 3);
-  EXPECT_EQ(cache.queue_generation(2), 3u);
-  EXPECT_EQ(cache.queue_generation(1), 0u);  // untouched destination
+  EXPECT_TRUE(cache.queue(1).empty());  // untouched destination
 
   cache.queue_erase(2, entry(20.0, 2));
-  EXPECT_EQ(cache.queue(2).size(), 2u);
-  EXPECT_EQ(cache.queue_generation(2), 4u);
-  // Erasing an absent entry is a no-op and must not dirty the queue.
+  ASSERT_EQ(cache.queue(2).size(), 2u);
+  EXPECT_EQ(cache.queue(2)[0].id, 1);
+  EXPECT_EQ(cache.queue(2)[1].id, 3);
+  // Erasing an absent entry is a no-op.
   cache.queue_erase(2, entry(20.0, 2));
-  EXPECT_EQ(cache.queue_generation(2), 4u);
+  EXPECT_EQ(cache.queue(2).size(), 2u);
+  const std::size_t held_bytes = cache.bytes();
+  EXPECT_GT(held_bytes, empty_bytes);
+
+  // The last erase frees the queue and what it held.
+  cache.queue_erase(2, entry(10.0, 1));
+  cache.queue_erase(2, entry(30.0, 3));
+  EXPECT_TRUE(cache.queue(2).empty());
+  EXPECT_LT(cache.bytes(), held_bytes);
+  // A freed destination queues again from scratch.
+  cache.queue_insert(2, entry(5.0, 7));
+  ASSERT_EQ(cache.queue(2).size(), 1u);
+  EXPECT_EQ(cache.queue(2)[0].id, 7);
 }
 
 TEST(UtilityCacheQueues, BytesBeforeUniformAndMixed) {
