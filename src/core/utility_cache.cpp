@@ -49,8 +49,10 @@ UtilityCache::~UtilityCache() {
 
 void UtilityCache::queue_insert(NodeId dst, const QueueEntry& e) {
   DestQueue& q = queues_.find_or_insert(dst);
-  if (q.entries.empty())
+  if (q.entries.empty()) {
     nonempty_.insert(std::lower_bound(nonempty_.begin(), nonempty_.end(), dst), dst);
+    take_spare(q);
+  }
   const auto pos = std::upper_bound(q.entries.begin(), q.entries.end(), e);
   q.memos.insert(q.memos.begin() + (pos - q.entries.begin()), Memo{});
   q.entries.insert(pos, e);
@@ -77,6 +79,7 @@ void UtilityCache::queue_erase(NodeId dst, const QueueEntry& e) {
   --queued_;
   if (q.entries.empty()) {
     nonempty_.erase(std::lower_bound(nonempty_.begin(), nonempty_.end(), dst));
+    keep_spare(q);
     queues_.erase(dst);
     return;
   }
@@ -90,6 +93,26 @@ void UtilityCache::queue_erase(NodeId dst, const QueueEntry& e) {
       return;
     }
   }
+}
+
+// Several destinations empty before new ones fill; eight spares absorb the
+// re-allocations of the 30-node service cycle while holding a small part of
+// what never freeing a queue did at fleet scale.
+constexpr std::size_t kSpareQueues = 8;
+
+void UtilityCache::keep_spare(DestQueue& q) {
+  if (spares_.size() == kSpareQueues) return;
+  q.size_counts.clear();
+  spares_.push_back(std::move(q));
+}
+
+void UtilityCache::take_spare(DestQueue& q) {
+  if (spares_.empty()) return;
+  DestQueue& s = spares_.back();
+  q.entries.swap(s.entries);
+  q.memos.swap(s.memos);
+  q.size_counts.swap(s.size_counts);
+  spares_.pop_back();
 }
 
 UtilityCache::Location UtilityCache::locate(NodeId dst, const QueueEntry& e) {
@@ -115,10 +138,13 @@ UtilityCache::Location UtilityCache::locate(NodeId dst, const QueueEntry& e) {
 
 std::size_t UtilityCache::bytes() const {
   std::size_t total = queues_.bytes() + nonempty_.capacity() * sizeof(NodeId);
-  for (const DestQueue& q : queues_)
-    total += q.entries.capacity() * sizeof(QueueEntry) + q.memos.capacity() * sizeof(Memo) +
-             q.size_counts.capacity() * sizeof(q.size_counts[0]);
-  return total;
+  const auto held = [](const DestQueue& q) {
+    return q.entries.capacity() * sizeof(QueueEntry) + q.memos.capacity() * sizeof(Memo) +
+           q.size_counts.capacity() * sizeof(q.size_counts[0]);
+  };
+  for (const DestQueue& q : queues_) total += held(q);
+  for (const DestQueue& q : spares_) total += held(q);
+  return total + spares_.capacity() * sizeof(DestQueue);
 }
 
 }  // namespace rapid

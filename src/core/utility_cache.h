@@ -253,8 +253,15 @@ class UtilityCache {
     Bytes total_bytes = 0;
   };
 
+  // A queue that empties leaves its (cleared) vectors in spares_, up to a
+  // few; the next queue created takes the last of them, so destinations that
+  // empty and refill do not re-allocate their storage.
+  void keep_spare(DestQueue& q);
+  void take_spare(DestQueue& q);
+
   static const std::vector<QueueEntry> kNoEntries;
   SlotMap<NodeId, DestQueue, &DestQueue::dst> queues_;  // one per dst queued now
+  std::vector<DestQueue> spares_;  // emptied queues; only their capacity is kept
   std::vector<NodeId> nonempty_;  // queues_' keys, sorted ascending
   std::size_t queued_ = 0;        // memo slots held now
   std::size_t queued_peak_ = 0;   // ... and at most

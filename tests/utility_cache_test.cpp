@@ -51,15 +51,29 @@ TEST(UtilityCacheQueues, MaintainsAgeOrderAndGenerations) {
   const std::size_t held_bytes = cache.bytes();
   EXPECT_GT(held_bytes, empty_bytes);
 
-  // The last erase frees the queue and what it held.
+  // The last erase frees the queue; its storage waits as a spare.
   cache.queue_erase(2, entry(10.0, 1));
   cache.queue_erase(2, entry(30.0, 3));
   EXPECT_TRUE(cache.queue(2).empty());
-  EXPECT_LT(cache.bytes(), held_bytes);
-  // A freed destination queues again from scratch.
+  const std::size_t freed_bytes = cache.bytes();
+  // A freed destination queues again from scratch, in the spare's storage.
   cache.queue_insert(2, entry(5.0, 7));
   ASSERT_EQ(cache.queue(2).size(), 1u);
   EXPECT_EQ(cache.queue(2)[0].id, 7);
+  EXPECT_EQ(cache.bytes(), freed_bytes);
+}
+
+TEST(UtilityCacheQueues, EmptyingManyQueuesFreesAllButAFewSpares) {
+  constexpr NodeId kDests = 64;
+  constexpr PacketId kPerDest = 16;
+  UtilityCache cache(kDests);
+  for (NodeId d = 0; d < kDests; ++d)
+    for (PacketId i = 0; i < kPerDest; ++i) cache.queue_insert(d, entry(i, d * kPerDest + i));
+  const std::size_t held_bytes = cache.bytes();
+  for (NodeId d = 0; d < kDests; ++d)
+    for (PacketId i = 0; i < kPerDest; ++i) cache.queue_erase(d, entry(i, d * kPerDest + i));
+  for (NodeId d = 0; d < kDests; ++d) EXPECT_TRUE(cache.queue(d).empty());
+  EXPECT_LT(cache.bytes(), held_bytes / 2);
 }
 
 TEST(UtilityCacheQueues, BytesBeforeUniformAndMixed) {
